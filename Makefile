@@ -45,7 +45,7 @@ bench-kernels:    ## fused vs composed kernel microbench, writes BENCH_kernels.j
 bench-serve:      ## serving latency/load benchmark, writes BENCH_serve.json (<60 s)
 	PYTHONPATH=src python -m repro.serve.bench --out BENCH_serve.json
 
-bench-backends:   ## backend seam benchmark (float32/arena/int8), writes BENCH_backends.json (<5 min)
+bench-backends:   ## float32-vs-float64 and int8-serving benchmark, writes BENCH_backends.json (<5 min)
 	PYTHONPATH=src python -m repro.utils.bench_backends --out BENCH_backends.json
 
 bench-serve-cluster: ## cluster load + kill-recovery benchmark, writes BENCH_serve_cluster.json (<2 min)

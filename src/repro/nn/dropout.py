@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor.backend import active_backend
 from repro.tensor.tensor import Tensor, is_inference_mode
 from repro.utils.seeding import get_rng
 
@@ -35,9 +34,12 @@ class Dropout(Module):
 
 
 def _uniform(shape: tuple[int, ...], dtype) -> "np.ndarray":
-    """Uniform [0, 1) draws through the active backend's RNG path.
+    """Uniform [0, 1) draws natively in ``dtype`` when the generator can.
 
-    The default backend draws float32 natively, halving the RNG bandwidth
-    of every dropout mask on the (float32) training hot path.
+    Drawing float32 directly halves the RNG bandwidth of every dropout mask
+    on the (float32) training hot path.
     """
-    return active_backend().random(get_rng(), shape, dtype)
+    rng = get_rng()
+    if dtype == np.float32:
+        return rng.random(shape, dtype=np.float32)
+    return rng.random(shape)

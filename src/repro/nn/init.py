@@ -3,18 +3,16 @@
 All initialisers draw from the global generator in :mod:`repro.utils.seeding`
 so that :func:`repro.utils.set_seed` makes model construction deterministic.
 
-The float dtype of every freshly initialised parameter comes from the
-active compute backend (:func:`repro.tensor.backend.active_backend`):
-float32 under the default backend, float64 under ``use_backend("float64")``
-— this is what lets the backend benchmark build the *same* architecture at
-two precisions and measure the train-step gap.
+The float dtype of every freshly initialised parameter is
+:func:`repro.tensor.default_dtype`: float32 by default, float64 inside
+``use_dtype(np.float64)`` — the same seeded draws at either precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.backend import active_backend
+from repro.tensor.tensor import default_dtype
 from repro.utils.seeding import get_rng
 
 
@@ -29,19 +27,19 @@ def xavier_uniform(shape: tuple[int, ...], gain: float = 1.0) -> np.ndarray:
     else:
         fan_in, fan_out = shape[-2], shape[-1]
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return get_rng().uniform(-limit, limit, size=shape).astype(active_backend().dtype)
+    return get_rng().uniform(-limit, limit, size=shape).astype(default_dtype())
 
 
 def normal(shape: tuple[int, ...], std: float = 0.02, mean: float = 0.0) -> np.ndarray:
     """Truncated-free normal initialisation (BERT-style ``std=0.02``)."""
-    return (get_rng().normal(mean, std, size=shape)).astype(active_backend().dtype)
+    return (get_rng().normal(mean, std, size=shape)).astype(default_dtype())
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zeros initialisation."""
-    return np.zeros(shape, dtype=active_backend().dtype)
+    return np.zeros(shape, dtype=default_dtype())
 
 
 def ones(shape: tuple[int, ...]) -> np.ndarray:
     """All-ones initialisation."""
-    return np.ones(shape, dtype=active_backend().dtype)
+    return np.ones(shape, dtype=default_dtype())

@@ -37,7 +37,6 @@ from repro.obs.registry import (
     gauge,
     get_registry,
     histogram,
-    record_backend_dispatch,
     record_kernel_dispatch,
     set_registry,
     set_telemetry,
@@ -72,7 +71,6 @@ __all__ = [
     "read_telemetry",
     "write_summary",
     "record_kernel_dispatch",
-    "record_backend_dispatch",
     "profile",
     "profile_tree",
     "profile_report",

@@ -340,14 +340,3 @@ def record_kernel_dispatch(kernel: str, fused_on: bool) -> None:
     if _TELEMETRY_ENABLED:
         path = "fused" if fused_on else "composed"
         _REGISTRY.counter(f"kernel_dispatch.{kernel}.{path}").inc()
-
-
-def record_backend_dispatch(backend: str, kernel: str) -> None:
-    """Count one dense-compute call routed through a named backend.
-
-    Called from :mod:`repro.tensor.backend` hot paths (matmul, reductions);
-    like :func:`record_kernel_dispatch`, the disabled-path cost is a single
-    boolean check, so the seam stays telemetry-free by default.
-    """
-    if _TELEMETRY_ENABLED:
-        _REGISTRY.counter(f"backend_dispatch.{backend}.{kernel}").inc()

@@ -19,8 +19,8 @@ recommendation service without ever building an autograd tape:
 - :mod:`repro.serve.quantize` — int8 weight quantization for inference:
   per-channel symmetric codecs applied at ``export_artifact(...,
   quantize="int8")`` time, the :class:`QuantizedEngine` float32/float16
-  scoring hot path (plus an honest :func:`int8_gemv` mode), and the
-  :func:`engine_for_artifact` factory the cluster builds workers through.
+  scoring hot path, and the :func:`engine_for_artifact` factory the
+  cluster builds workers through.
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
   concurrent ``recommend(user, k)`` calls into padded batches on a
   background thread.
@@ -57,7 +57,6 @@ from repro.serve.quantize import (
     QuantizedEngine,
     dequantize,
     engine_for_artifact,
-    int8_gemv,
     quantize_per_channel,
 )
 from repro.serve.router import (
@@ -80,7 +79,6 @@ __all__ = [
     "engine_for_artifact",
     "quantize_per_channel",
     "dequantize",
-    "int8_gemv",
     "read_quantization",
     "MicroBatcher",
     "ServingCluster",

@@ -144,7 +144,7 @@ class RecommendationEngine:
         last = np.asarray(states.data)[:, -1, :]
         for row, user in enumerate(users):
             # Explicit copy: ``last[row]`` is a *view* into the forward
-            # buffer, which arena-pooled backends recycle after the request.
+            # buffer, and caching it would keep the whole batch alive.
             self._cache_put(user, last[row].copy())
 
     def _state_for(self, user: int) -> np.ndarray:

@@ -8,21 +8,14 @@ artifact and the serving stack:
   int8 codecs for weight matrices: one float32 scale per output channel
   (row), values clipped to ``[-127, 127]`` so the representable range is
   symmetric and zero is exact.  A ``dim=64`` embedding table shrinks 4x.
-- :func:`int8_gemv` — the honest integer product: quantizes the activation
-  per-tensor, accumulates in int32, and rescales to float32.  On a pure
-  numpy substrate this is *slower* than letting BLAS run the float32 GEMV
-  (numpy has no int8 SIMD kernels; the int32 upcast alone costs more than
-  the float product), which is why it exists as an explicitly selectable
-  mode rather than the default — the backend benchmark measures both and
-  records the truth in ``BENCH_backends.json``.
 - :class:`QuantizedEngine` — a :class:`~repro.serve.engine.RecommendationEngine`
   whose scoring hot path is rebuilt around the quantized table: the int8
   weights are dequantized **once at load** into a contiguous float32 table,
   per-request scoring runs entirely in float32 into a preallocated scores
   buffer (the base engine upcasts every request's full-vocabulary scores to
   a fresh float64 array), and cached encoder states are stored as float16,
-  halving state-cache memory.  ``gemm="int8"`` switches the scoring product
-  to :func:`int8_gemv`.
+  halving state-cache memory.  Dequantizing at load beats an integer
+  product on numpy, which has no int8 SIMD kernels.
 - :func:`engine_for_artifact` — the factory the cluster workers use: it
   inspects the artifact's metadata and builds a :class:`QuantizedEngine`
   for quantized artifacts, a plain engine otherwise, so int8 artifacts roll
@@ -82,25 +75,6 @@ def dequantize(q: np.ndarray, scales: np.ndarray, axis: int = 0) -> np.ndarray:
     return q.astype(np.float32) * scales
 
 
-def int8_gemv(q_matrix: np.ndarray, scales: np.ndarray,
-              x: np.ndarray) -> np.ndarray:
-    """``dequantize(q_matrix) @ x`` computed in integer arithmetic.
-
-    The activation is quantized per-tensor (one scale), the product is
-    accumulated in int32 — exact for ``dim <= 131072`` since each term is
-    bounded by ``127 * 127`` — and the result is rescaled to float32 in one
-    fused multiply.  Kept for fidelity to the int8-GEMM deployment recipe
-    and for hardware where integer dot products *are* the fast path; see
-    the module docstring for why it is not the numpy default.
-    """
-    x32 = np.asarray(x, dtype=np.float32)
-    x_max = float(np.abs(x32).max()) if x32.size else 0.0
-    x_scale = np.float32(x_max / 127.0 if x_max > 0.0 else 1.0)
-    qx = np.clip(np.rint(x32 / x_scale), -127, 127).astype(np.int8)
-    acc = q_matrix.astype(np.int32) @ qx.astype(np.int32)
-    return acc.astype(np.float32) * (np.asarray(scales, dtype=np.float32) * x_scale)
-
-
 class QuantizedEngine(RecommendationEngine):
     """Serve top-K from an int8-quantized item table.
 
@@ -111,11 +85,7 @@ class QuantizedEngine(RecommendationEngine):
         (used for encoder forwards and the offline ``score`` protocol).
     item_q, item_scales:
         The raw int8 item-embedding table and its per-row scales, straight
-        from the artifact.
-    gemm:
-        ``"dequant"`` (default) scores with a load-time-dequantized float32
-        table written into a preallocated buffer; ``"int8"`` scores with
-        :func:`int8_gemv`.
+        from the artifact; dequantized once into the float32 scoring table.
     state_dtype:
         Storage dtype of cached encoder states (default float16 — half the
         cache memory; states are upcast to float32 per request).
@@ -125,14 +95,10 @@ class QuantizedEngine(RecommendationEngine):
     """
 
     def __init__(self, model, item_q: np.ndarray, item_scales: np.ndarray,
-                 cache_size: int = 1024, gemm: str = "dequant",
-                 state_dtype=np.float16, event_log=None):
+                 cache_size: int = 1024, state_dtype=np.float16, event_log=None):
         super().__init__(model, cache_size=cache_size, event_log=event_log)
-        if gemm not in ("dequant", "int8"):
-            raise ValueError(f"gemm must be 'dequant' or 'int8', got {gemm!r}")
         if np.asarray(item_q).dtype != np.int8:
             raise TypeError("item_q must be an int8 array")
-        self.gemm = gemm
         self.name = f"serve-int8({model.name})"
         self._item_q = np.ascontiguousarray(item_q)
         self._item_scales = np.asarray(item_scales, dtype=np.float32).reshape(-1)
@@ -176,10 +142,7 @@ class QuantizedEngine(RecommendationEngine):
         instead of per-item numpy scalar conversions.
         """
         state = self._states[user].astype(np.float32)
-        if self.gemm == "int8":
-            scores = int8_gemv(self._item_q, self._item_scales, state)
-        else:
-            scores = np.matmul(self._table, state, out=self._scores_buf)
+        scores = np.matmul(self._table, state, out=self._scores_buf)
         scores[0] = -np.inf  # padding id is never recommended
         if filter_seen:
             suppress = self._seen_index(user)
@@ -198,7 +161,6 @@ class QuantizedEngine(RecommendationEngine):
         int8_bytes = self._item_q.nbytes + self._item_scales.nbytes
         return {
             "scheme": "int8",
-            "gemm": self.gemm,
             "table_shape": tuple(self._item_q.shape),
             "state_dtype": self._state_dtype.name,
             "int8_bytes": int(int8_bytes),
@@ -208,7 +170,6 @@ class QuantizedEngine(RecommendationEngine):
 
 
 def engine_for_artifact(path: str | Path, cache_size: int = 1024,
-                        gemm: str = "dequant",
                         event_log=None) -> RecommendationEngine:
     """Build the right engine for an artifact.
 
@@ -227,7 +188,7 @@ def engine_for_artifact(path: str | Path, cache_size: int = 1024,
         for name, (q, scales) in quantized.items():
             if name.endswith("item_embedding.weight"):
                 return QuantizedEngine(model, q, scales,
-                                       cache_size=cache_size, gemm=gemm,
+                                       cache_size=cache_size,
                                        event_log=event_log)
     return RecommendationEngine(model, cache_size=cache_size,
                                 event_log=event_log)

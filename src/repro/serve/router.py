@@ -12,10 +12,11 @@ The router is the parent-process half of :class:`repro.serve.ServingCluster`
   Nothing in the cluster ever hangs a caller or drops a request silently.
 - **Bounded per-shard queues** (:class:`ShardQueue`): a min-heap ordered
   by each entry's earliest-dispatch time (retries schedule themselves
-  into the future with jittered backoff).  Admission beyond
-  ``queue_limit`` sheds with :class:`Overloaded`; control traffic
-  (heartbeats, history sync, swaps) bypasses the bound so supervision
-  never competes with load.
+  into the future with jittered backoff).  A recommend arriving while
+  ``queue_limit`` recommends are queued sheds with :class:`Overloaded`;
+  control traffic (heartbeats, history sync, swaps) neither counts
+  towards nor is held to the bound, so supervision never competes with
+  load.
 - **The degraded-mode fallback**: a :class:`~repro.models.pop.PopRec`
   always resident in the router process.  The router keeps the
   authoritative per-user histories (workers hold replicas, re-seeded on
@@ -162,14 +163,17 @@ class ShardQueue:
 
     Entries pop in ``not_before`` order (FIFO among ready entries), so a
     retry scheduled with backoff does not block fresh traffic queued
-    behind it.  ``put`` enforces the depth limit for ``"recommend"``
-    entries only; control traffic and retries always fit.
+    behind it.  ``put`` sheds a ``"recommend"`` entry once ``limit``
+    recommends are queued; control traffic (history and seed syncs, pings)
+    neither counts towards that limit nor is ever shed, and retries always
+    fit.
     """
 
     def __init__(self, shard: int, limit: int):
         self.shard = shard
         self.limit = int(limit)
         self._heap: list[tuple[float, int, ShardRequest]] = []
+        self._recommends = 0  # queued "recommend" entries, retries included
         self._seq = itertools.count()
         self._cond = threading.Condition()
 
@@ -181,13 +185,19 @@ class ShardQueue:
     def put(self, request: ShardRequest, enforce_limit: bool = True) -> None:
         """Enqueue; sheds with :class:`Overloaded` when full (bounded kinds)."""
         with self._cond:
-            if enforce_limit and request.kind == "recommend":
-                depth = len(self._heap)
-                if depth >= self.limit:
-                    raise Overloaded(self.shard, depth, self.limit)
+            if request.kind == "recommend":
+                if enforce_limit and self._recommends >= self.limit:
+                    raise Overloaded(self.shard, self._recommends, self.limit)
+                self._recommends += 1
             heapq.heappush(self._heap,
                            (request.not_before, next(self._seq), request))
             self._cond.notify()
+
+    def _pop(self) -> ShardRequest:
+        request = heapq.heappop(self._heap)[2]
+        if request.kind == "recommend":
+            self._recommends -= 1
+        return request
 
     def requeue(self, request: ShardRequest) -> None:
         """Re-enqueue a retry (never shed: it was already admitted)."""
@@ -206,7 +216,7 @@ class ShardQueue:
                 if self._heap:
                     ready_at = self._heap[0][0]
                     if ready_at <= now:
-                        return heapq.heappop(self._heap)[2]
+                        return self._pop()
                     wait = min(ready_at, deadline) - now
                 else:
                     wait = deadline - now
@@ -219,7 +229,7 @@ class ShardQueue:
         with self._cond:
             drained = 0
             while self._heap:
-                request = heapq.heappop(self._heap)[2]
+                request = self._pop()
                 if not request.done.is_set():
                     request.fail(error)
                     drained += 1

@@ -12,25 +12,20 @@ reproduction.  It provides:
   with hand-derived VJPs; toggled globally via ``fused.use_fused``.
 - :mod:`~repro.tensor.gradcheck` — numerical gradient checking used by the
   test-suite to validate every analytic gradient.
-- :mod:`~repro.tensor.backend` — the pluggable dense-compute seam: every
-  matmul/elementwise/reduction/RNG/allocation call dispatches through the
-  active :class:`~repro.tensor.backend.Backend` (default numpy float32,
-  plus ``float64``, strict ``float32``, and pooled-allocation ``arena``
-  backends), selected with ``use_backend`` just like ``use_fused``.
+- :func:`~repro.tensor.tensor.default_dtype` /
+  :func:`~repro.tensor.tensor.use_dtype` — the thread-scoped float dtype of
+  implicit tensor data and new parameters: float32 by default, float64 as
+  the scoped full-precision reference.
 
 Every operation supports numpy-style broadcasting; gradients of broadcast
 operands are reduced back to the operand's shape.
 """
 
-from repro.tensor.backend import (
-    ArenaBackend, Backend, active_backend, array_allocs, available_backends,
-    set_backend, use_backend,
-)
 from repro.tensor.tensor import (
     Tensor, no_grad, inference_mode, is_grad_enabled, is_inference_mode,
     tensor, tensor_allocs, graph_nodes, zeros, ones, arange,
+    default_dtype, use_dtype,
 )
-from repro.tensor import backend
 from repro.tensor import functional
 from repro.tensor import fused
 from repro.tensor.fused import use_fused, fused_enabled
@@ -41,14 +36,8 @@ __all__ = [
     "tensor",
     "tensor_allocs",
     "graph_nodes",
-    "backend",
-    "Backend",
-    "ArenaBackend",
-    "active_backend",
-    "array_allocs",
-    "available_backends",
-    "set_backend",
-    "use_backend",
+    "default_dtype",
+    "use_dtype",
     "zeros",
     "ones",
     "arange",

@@ -34,7 +34,6 @@ import contextlib
 
 import numpy as np
 
-from repro.tensor.backend import active_backend
 from repro.tensor.tensor import Tensor
 
 _NEG_INF = -1e9
@@ -78,9 +77,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward) -> T
 # ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` as one tape node."""
-    backend = active_backend()
-    y = backend.binary(np.subtract, x.data,
-                       x.data.max(axis=axis, keepdims=True))
+    y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
@@ -94,8 +91,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis`` as one tape node."""
-    shifted = active_backend().binary(np.subtract, x.data,
-                                      x.data.max(axis=axis, keepdims=True))
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     np.subtract(
         shifted,
         np.log(np.exp(shifted).sum(axis=axis, keepdims=True)),
@@ -140,7 +136,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     # peak may include the suppressed column; any value >= the true maximum
     # keeps the exp shift stable, so no masked max pass is needed.
     peak = flat.max(axis=-1, keepdims=True)
-    shifted = active_backend().binary(np.subtract, flat, peak)
+    shifted = flat - peak
     np.exp(shifted, out=shifted)
     if suppress_index is not None:
         shifted[:, suppress_index] = 0.0
@@ -207,12 +203,11 @@ def info_nce(anchors: Tensor, positives: Tensor,
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
-    backend = active_backend()
     inv_a = 1.0 / np.sqrt((a * a).sum(axis=-1, keepdims=True) + eps)
     inv_p = 1.0 / np.sqrt((p * p).sum(axis=-1, keepdims=True) + eps)
     a_hat = a * inv_a
     p_hat = p * inv_p
-    logits = backend.matmul(a_hat, p_hat.T)
+    logits = a_hat @ p_hat.T
     logits *= 1.0 / temperature
     count = logits.shape[0]
     rows = np.arange(count)
@@ -233,11 +228,11 @@ def info_nce(anchors: Tensor, positives: Tensor,
         score[rows, rows] -= 1.0 / count
         score *= float(grad) / temperature
         if anchors.requires_grad:
-            d_hat = backend.matmul(score, p_hat)
+            d_hat = score @ p_hat
             anchors._accumulate(inv_a * (
                 d_hat - (d_hat * a_hat).sum(axis=-1, keepdims=True) * a_hat))
         if positives.requires_grad:
-            d_hat = backend.matmul(score.T, a_hat)
+            d_hat = score.T @ a_hat
             positives._accumulate(inv_p * (
                 d_hat - (d_hat * p_hat).sum(axis=-1, keepdims=True) * p_hat))
 
@@ -272,8 +267,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
 
-    backend = active_backend()
-    scores = backend.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
     if scale != 1.0:
         scores *= scale
     if mask is not None:
@@ -283,7 +277,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     scores /= scores.sum(axis=-1, keepdims=True)
     weights = scores  # (..., T, T), the post-softmax attention weights
     applied = weights if dropout_mask is None else weights * dropout_mask
-    out = backend.matmul(applied, v.data)
+    out = applied @ v.data
 
     def backward(grad: np.ndarray) -> None:
         if v.requires_grad:
@@ -318,13 +312,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     ``eps`` inside the square root) and uses the standard three-term
     backward ``dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``.
     """
-    backend = active_backend()
     mean = x.data.mean(axis=-1, keepdims=True)
-    xhat = backend.binary(np.subtract, x.data, mean)
+    xhat = x.data - mean
     variance = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(variance + eps)
     xhat *= inv_std
-    out = backend.binary(np.multiply, xhat, gamma.data)
+    out = xhat * gamma.data
     np.add(out, beta.data, out=out)
 
     def backward(grad: np.ndarray) -> None:

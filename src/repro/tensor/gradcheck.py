@@ -4,13 +4,8 @@ The test-suite calls :func:`gradcheck` on each primitive and composite
 operation; it compares the autograd gradient against a central finite
 difference computed in float64.
 
-:func:`gradcheck` is backend-proof: it always upcasts floating inputs to
-float64 copies and runs both the analytic and the numerical pass under the
-precision-preserving default backend, so the same suites pass unchanged —
-with the same tolerances — even when the session runs under
-``use_backend("float32")`` (or ``REPRO_BACKEND=float32``), whose dtype
-policy would otherwise demote the float64 probe tensors and drown the
-finite-difference signal in rounding noise.
+:func:`gradcheck` upcasts floating inputs to float64 copies, so float32
+parameters are checked at full precision with the same tolerances.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.tensor.backend import use_backend
 from repro.tensor.tensor import Tensor
 
 
@@ -69,10 +63,8 @@ def gradcheck(func: Callable[..., Tensor], inputs: Sequence[Tensor],
         Function of the given tensors returning a scalar :class:`Tensor`.
     inputs:
         Tensors; those with ``requires_grad=True`` are checked.  Floating
-        inputs are upcast to float64 copies internally (and the default
-        backend is forced for the duration), so the comparison always runs
-        in full precision regardless of the inputs' dtype or the session's
-        active backend.
+        inputs are upcast to float64 copies internally, so the comparison
+        always runs in full precision regardless of the inputs' dtype.
 
     Returns
     -------
@@ -80,26 +72,25 @@ def gradcheck(func: Callable[..., Tensor], inputs: Sequence[Tensor],
         ``True`` when every checked gradient matches.  Raises
         ``AssertionError`` with a diagnostic message otherwise.
     """
-    with use_backend("numpy"):
-        inputs = [_as_float64(tensor_input) for tensor_input in inputs]
-        for tensor_input in inputs:
-            if tensor_input.requires_grad:
-                tensor_input.zero_grad()
-        output = func(*inputs)
-        if output.data.size != 1:
-            raise ValueError("gradcheck requires a scalar-valued function")
-        output.backward()
-        for i, tensor_input in enumerate(inputs):
-            if not tensor_input.requires_grad:
-                continue
-            analytic = tensor_input.grad
-            if analytic is None:
-                raise AssertionError(f"input {i} received no gradient")
-            numeric = numerical_gradient(func, inputs, i, eps=eps)
-            if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
-                worst = np.max(np.abs(analytic - numeric))
-                raise AssertionError(
-                    f"gradient mismatch for input {i}: max abs diff {worst:.3e}\n"
-                    f"analytic:\n{analytic}\nnumeric:\n{numeric}"
-                )
+    inputs = [_as_float64(tensor_input) for tensor_input in inputs]
+    for tensor_input in inputs:
+        if tensor_input.requires_grad:
+            tensor_input.zero_grad()
+    output = func(*inputs)
+    if output.data.size != 1:
+        raise ValueError("gradcheck requires a scalar-valued function")
+    output.backward()
+    for i, tensor_input in enumerate(inputs):
+        if not tensor_input.requires_grad:
+            continue
+        analytic = tensor_input.grad
+        if analytic is None:
+            raise AssertionError(f"input {i} received no gradient")
+        numeric = numerical_gradient(func, inputs, i, eps=eps)
+        if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
+            worst = np.max(np.abs(analytic - numeric))
+            raise AssertionError(
+                f"gradient mismatch for input {i}: max abs diff {worst:.3e}\n"
+                f"analytic:\n{analytic}\nnumeric:\n{numeric}"
+            )
     return True

@@ -10,26 +10,19 @@ All operations are vectorised with numpy and support broadcasting; the
 gradient of a broadcast operand is summed back to the operand's shape by
 :func:`_unbroadcast`.
 
-Dense forward computation — matmuls, elementwise ufuncs, reductions, and
-the dtype policy of :class:`Tensor` construction — routes through the
-active compute backend (:mod:`repro.tensor.backend`), selected with
-``use_backend``.  The default backend reproduces the pre-seam numpy
-behaviour bit for bit; gradients always run in plain numpy because tape
-closures may outlive any backend scope.
+The float dtype of implicit tensor data, :func:`zeros`/:func:`ones` and
+freshly initialised parameters is a thread-scoped setting:
+:func:`default_dtype` is float32 unless a :func:`use_dtype` scope overrides
+it with float64 (the full-precision reference).
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
-
-from repro.tensor.backend import active_backend
-
-#: Historical float dtype of the substrate; the *active* default now comes
-#: from ``active_backend().dtype`` (float32 for the default backend).
-DEFAULT_DTYPE = np.float32
 
 _GRAD_ENABLED = True
 _INFERENCE_MODE = False
@@ -108,6 +101,40 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+class _DtypeSetting(threading.local):
+    dtype = np.float32
+
+
+_DTYPE = _DtypeSetting()
+
+
+def default_dtype():
+    """Float dtype of implicit tensor data and new parameters in this thread."""
+    return _DTYPE.dtype
+
+
+@contextlib.contextmanager
+def use_dtype(dtype):
+    """Scope ``dtype`` (float32 or float64) as this thread's float dtype.
+
+    Parameters initialised and implicit float data coerced inside the scope
+    take ``dtype``; other threads are unaffected and the previous setting
+    returns on exit::
+
+        with use_dtype(np.float64):
+            model = ISRec(...)          # parameters initialise in float64
+    """
+    dtype = np.dtype(dtype).type
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype.__name__}")
+    previous = _DTYPE.dtype
+    _DTYPE.dtype = dtype
+    try:
+        yield
+    finally:
+        _DTYPE.dtype = previous
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` (gradient of a broadcast result) back to ``shape``.
 
@@ -134,8 +161,16 @@ def _as_array(value, dtype=None) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` through the active backend (folded GEMM, optional pooling)."""
-    return active_backend().matmul(a, b)
+    """``a @ b`` with batched-by-2D products folded into a single GEMM.
+
+    ``(..., n, k) @ (k, m)`` runs noticeably faster as one
+    ``(prod(...) * n, k) @ (k, m)`` BLAS call than as numpy's gufunc loop of
+    per-batch matrix products — this shape is the projection/linear hot path
+    (``states @ W``) of every training step.
+    """
+    if a.ndim > 2 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    return a @ b
 
 
 class Tensor:
@@ -144,9 +179,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything convertible to a numpy array.  Floating point data defaults
-        to ``float32``; integer data keeps its integer dtype (useful for
-        index tensors).
+        Anything convertible to a numpy array.  float32 and float64 arrays
+        keep their dtype; integer and boolean data keep theirs (index and
+        mask tensors); any other data takes :func:`default_dtype`.
     requires_grad:
         When ``True`` and gradients are enabled, operations involving this
         tensor are recorded so :meth:`backward` can populate :attr:`grad`.
@@ -162,13 +197,11 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        else:
-            # The backend's dtype policy.  Every backend preserves explicit
-            # float32 and float64 arrays (float64 so gradcheck can run in
-            # full precision; float32 so a non-default backend never
-            # silently promotes the training data) — except the strict
-            # ``float32`` backend, which demotes float64 on entry.
-            arr = active_backend().coerce(arr)
+        elif (arr.dtype.kind not in "iub" and arr.dtype != np.float32
+              and arr.dtype != np.float64):
+            # float64 passes through so gradcheck runs in full precision,
+            # float32 so a float64 scope never promotes the training data.
+            arr = arr.astype(_DTYPE.dtype)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad) and arr.dtype.kind == "f"
         self.grad: np.ndarray | None = None
@@ -245,10 +278,7 @@ class Tensor:
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
         global _GRAPH_NODES
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        # Explicit dtype: op results keep the dtype the computation produced.
-        # The backend's coerce() policy applies at data *entry* (``__init__``
-        # with dtype=None), not to intermediate results — otherwise a strict
-        # reduced-precision backend would demote explicit float64 work.
+        # Op results keep the dtype the computation produced.
         out = Tensor(data, requires_grad=False, dtype=data.dtype)
         out.requires_grad = requires and out.data.dtype.kind == "f"
         if out.requires_grad:
@@ -314,8 +344,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.add, self.data, other.data),
-                         (self, other), "add")
+        out = self._make(self.data + other.data, (self, other), "add")
         if out.requires_grad:
             a, b = self, other
 
@@ -331,7 +360,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = self._make(active_backend().unary(np.negative, self.data), (self,), "neg")
+        out = self._make(-self.data, (self,), "neg")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
                 self._accumulate(-grad)
@@ -341,8 +370,7 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.subtract, self.data, other.data),
-                         (self, other), "sub")
+        out = self._make(self.data - other.data, (self, other), "sub")
         if out.requires_grad:
             a, b = self, other
 
@@ -360,8 +388,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.multiply, self.data, other.data),
-                         (self, other), "mul")
+        out = self._make(self.data * other.data, (self, other), "mul")
         if out.requires_grad:
             a, b = self, other
 
@@ -378,8 +405,7 @@ class Tensor:
 
     def __truediv__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
-        out = self._make(active_backend().binary(np.divide, self.data, other.data),
-                         (self, other), "div")
+        out = self._make(self.data / other.data, (self, other), "div")
         if out.requires_grad:
             a, b = self, other
 
@@ -506,8 +532,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Differentiable summation over ``axis`` (or all elements)."""
-        out = self._make(active_backend().sum(self.data, axis=axis, keepdims=keepdims),
-                         (self,), "sum")
+        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         if out.requires_grad:
             shape = self.shape
 
@@ -530,7 +555,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Differentiable maximum; tied maxima share the gradient."""
-        out_data = active_backend().max(self.data, axis=axis, keepdims=keepdims)
+        out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make(out_data, (self,), "max")
         if out.requires_grad:
             shape = self.shape
@@ -562,7 +587,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = active_backend().unary(np.exp, self.data)
+        out_data = np.exp(self.data)
         out = self._make(out_data, (self,), "exp")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -573,7 +598,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out = self._make(active_backend().unary(np.log, self.data), (self,), "log")
+        out = self._make(np.log(self.data), (self,), "log")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad / self.data)
@@ -583,7 +608,7 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data = active_backend().unary(np.sqrt, self.data)
+        out_data = np.sqrt(self.data)
         out = self._make(out_data, (self,), "sqrt")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -594,7 +619,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         """Elementwise ``max(x, 0)``."""
-        out = self._make(active_backend().binary(np.maximum, self.data, 0), (self,), "relu")
+        out = self._make(np.maximum(self.data, 0), (self,), "relu")
         if out.requires_grad:
             mask = (self.data > 0).astype(self.data.dtype)
 
@@ -606,8 +631,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
-        backend = active_backend()
-        out_data = backend.unary(np.exp, backend.unary(np.negative, self.data))
+        out_data = np.exp(-self.data)
         np.add(out_data, 1.0, out=out_data)
         np.reciprocal(out_data, out=out_data)
         out = self._make(out_data, (self,), "sigmoid")
@@ -620,7 +644,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = active_backend().unary(np.tanh, self.data)
+        out_data = np.tanh(self.data)
         out = self._make(out_data, (self,), "tanh")
         if out.requires_grad:
             def backward(grad: np.ndarray) -> None:
@@ -631,7 +655,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (sign subgradient)."""
-        out = self._make(active_backend().unary(np.abs, self.data), (self,), "abs")
+        out = self._make(np.abs(self.data), (self,), "abs")
         if out.requires_grad:
             sign = np.sign(self.data)
 
@@ -682,14 +706,14 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Tensor of zeros (in the active backend's float dtype by default)."""
-    dtype = active_backend().dtype if dtype is None else dtype
+    """Tensor of zeros (in :func:`default_dtype` unless ``dtype`` is given)."""
+    dtype = _DTYPE.dtype if dtype is None else dtype
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Tensor of ones (in the active backend's float dtype by default)."""
-    dtype = active_backend().dtype if dtype is None else dtype
+    """Tensor of ones (in :func:`default_dtype` unless ``dtype`` is given)."""
+    dtype = _DTYPE.dtype if dtype is None else dtype
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 

@@ -1,29 +1,22 @@
-"""Benchmark of the compute-backend seam and the quantized serving path.
+"""Benchmark of the float dtype setting and the quantized serving path.
 
-Four sections, written to ``BENCH_backends.json`` at the repository root
+Three sections, written to ``BENCH_backends.json`` at the repository root
 (regenerate with ``make bench-backends``):
 
 - ``train_step`` — the fused training step of an ISRec/SASRec-sized model
-  built and run under ``use_backend("float64")`` versus
-  ``use_backend("float32")``.  The float64 run is the full-precision
-  baseline; the recorded ``speedup_f32_vs_f64`` is the reduced-precision
-  win of the backend seam (acceptance floor: 2x).
+  built and run under ``use_dtype(np.float64)`` versus the float32
+  default.  The float64 run is the full-precision baseline; the recorded
+  ``speedup_f32_vs_f64`` is the reduced-precision win (acceptance floor:
+  2x).
 - ``serve`` — warm-request latency of the exact float engine versus the
-  int8-quantized engine (both GEMM modes) over identical artifacts and
-  histories, plus accuracy parity: mean/min top-10 overlap, exact-top-1
-  agreement, and held-out HR@10 / NDCG@10 for both engines.  The
-  ``dequant`` mode must beat both the freshly measured exact warm path
-  and the committed ``BENCH_serve.json`` warm reference; the ``int8``
-  GEMV mode is recorded honestly even though numpy has no fast int8
-  kernels (it loses — see docs/performance.md).
-- ``arena`` — allocations of a cold serve request (encoder forward +
-  scoring) under the default backend versus the pooled ``arena`` backend:
-  both :func:`repro.tensor.tensor_allocs` (tensor objects — unchanged by
-  pooling) and :func:`repro.tensor.array_allocs` (fresh numpy buffers
-  through the seam — the counter the arena attacks).
+  int8-quantized engine (dequantized at load) over identical artifacts
+  and histories, plus accuracy parity: mean/min top-10 overlap,
+  exact-top-1 agreement, and held-out HR@10 / NDCG@10 for both engines.
+  The quantized engine must beat the freshly measured exact warm path;
+  the committed ``BENCH_serve.json`` warm reference is recorded beside it.
 - ``gemv_micro`` — the raw item-table GEMV at float64/float32/float16
-  precision and through :func:`repro.serve.quantize.int8_gemv`, so the
-  dtype story behind the engine defaults is on the record.
+  precision, so the dtype story behind the engine defaults is on the
+  record.
 """
 
 from __future__ import annotations
@@ -33,18 +26,15 @@ import json
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from repro.models.sasrec import SASRec
-from repro.tensor import fused, use_backend
-from repro.tensor.backend import ArenaBackend, array_allocs
-from repro.tensor.tensor import tensor_allocs
+from repro.tensor import fused, use_dtype
 from repro.utils.bench import environment_info, measure, write_bench
 from repro.utils.seeding import temp_seed
 
-SCHEMA = "bench_backends/v1"
+SCHEMA = "bench_backends/v2"
 
 #: ISRec/SASRec-sized training shapes plus the serving workload of
 #: ``repro.serve.bench`` (ML-1M-scale vocabulary, dim 64).
@@ -58,37 +48,19 @@ SMOKE_SHAPES = dict(batch_size=8, seq_len=16, vocab=200, dim=32,
 
 PRESETS = {"default": DEFAULT_SHAPES, "smoke": SMOKE_SHAPES}
 
-#: Backends compared in the train-step section (baseline listed first).
-TRAIN_BACKENDS = ("float64", "float32")
-
-
-def _measure_allocs(fn: Callable[[], object], repeats: int = 5,
-                    warmup: int = 2) -> dict:
-    """Like :func:`repro.utils.bench.measure`, also counting array allocs."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    tensors_before, arrays_before = tensor_allocs(), array_allocs()
-    fn()
-    return {"wall_time_s": best,
-            "tensor_allocs": tensor_allocs() - tensors_before,
-            "array_allocs": array_allocs() - arrays_before}
+#: Float dtypes compared in the train-step section (baseline listed first).
+TRAIN_DTYPES = ("float64", "float32")
 
 
 # ----------------------------------------------------------------------
-# Section 1: train step across precision backends
+# Section 1: train step at each float dtype
 # ----------------------------------------------------------------------
-def _build_train_case(backend: str, shapes: dict):
-    with use_backend(backend) as resolved, temp_seed(0):
+def _build_train_case(dtype: str, shapes: dict):
+    with use_dtype(dtype), temp_seed(0):
         model = SASRec(num_items=shapes["vocab"], dim=shapes["dim"],
                        max_len=shapes["seq_len"],
                        num_layers=shapes["num_layers"],
                        num_heads=shapes["num_heads"], dropout=0.1)
-        dtype = resolved.dtype
     rng = np.random.default_rng(0)
     batch, seq_len, vocab = shapes["batch_size"], shapes["seq_len"], shapes["vocab"]
     inputs = rng.integers(1, vocab + 1, size=(batch, seq_len))
@@ -102,7 +74,7 @@ def _build_train_case(backend: str, shapes: dict):
     payload = (np.arange(batch), inputs, targets, mask)
 
     def step() -> None:
-        with use_backend(backend), fused.use_fused(True):
+        with use_dtype(dtype), fused.use_fused(True):
             loss = model.training_loss(payload)
             loss.backward()
             for parameter in parameters:
@@ -112,13 +84,13 @@ def _build_train_case(backend: str, shapes: dict):
 
 
 def bench_train_step(shapes: dict, repeats: int = 5, warmup: int = 2) -> dict:
-    """Fused train step under each precision backend, float64 = baseline."""
+    """Fused train step at each float dtype, float64 = baseline."""
     results: dict = {}
-    for backend in TRAIN_BACKENDS:
-        model, step = _build_train_case(backend, shapes)
+    for dtype in TRAIN_DTYPES:
+        model, step = _build_train_case(dtype, shapes)
         result = measure(step, repeats=repeats, warmup=warmup)
         result["param_dtype"] = str(model.item_embedding.weight.dtype)
-        results[backend] = result
+        results[dtype] = result
     results["speedup_f32_vs_f64"] = (
         results["float64"]["wall_time_s"]
         / max(results["float32"]["wall_time_s"], 1e-12))
@@ -159,8 +131,7 @@ def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
                           "int8": quant_path.stat().st_size}
         engines = {
             "exact": RecommendationEngine(load_artifact(exact_path)),
-            "int8_dequant": engine_for_artifact(quant_path, gemm="dequant"),
-            "int8_gemv": engine_for_artifact(quant_path, gemm="int8"),
+            "int8_dequant": engine_for_artifact(quant_path),
         }
     k = shapes["top_k"]
     holdouts: dict[int, int] = {}
@@ -195,20 +166,17 @@ def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
                 reference_warm
                 / max(results["warm_int8_dequant"]["wall_time_s"], 1e-12))
 
-    overlaps, agreement = {"int8_dequant": [], "int8_gemv": []}, []
+    overlaps, agreement = [], []
     for user in sorted(holdouts):
         top_exact = [item for item, _score in
                      engines["exact"].recommend(user, k=k)]
-        exact_set = set(top_exact)
-        for name in ("int8_dequant", "int8_gemv"):
-            top_quant = {item for item, _score in
-                         engines[name].recommend(user, k=k)}
-            overlaps[name].append(len(exact_set & top_quant)
-                                  / max(len(exact_set), 1))
+        top_quant = {item for item, _score in
+                     engines["int8_dequant"].recommend(user, k=k)}
+        overlaps.append(len(set(top_exact) & top_quant) / max(len(top_exact), 1))
         agreement.append(float(top_exact[0] in top_quant))
     results["topk_overlap"] = {
-        name: {"mean": float(np.mean(values)), "min": float(np.min(values))}
-        for name, values in overlaps.items()}
+        "int8_dequant": {"mean": float(np.mean(overlaps)),
+                         "min": float(np.min(overlaps))}}
     results["top1_in_quant_top10"] = float(np.mean(agreement))
     metrics = {name: _holdout_metrics(engine, holdouts, k)
                for name, engine in engines.items()}
@@ -220,62 +188,20 @@ def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
 
 
 # ----------------------------------------------------------------------
-# Section 3: arena-pooled cold requests
-# ----------------------------------------------------------------------
-def bench_arena(shapes: dict, repeats: int = 5, warmup: int = 2) -> dict:
-    """Cold-request allocations: default backend vs pooled arena backend."""
-    from repro.serve import engine_for_artifact, export_artifact
-    from repro.serve.bench import build_model, seed_histories
-
-    model = build_model(shapes)
-    with tempfile.TemporaryDirectory(prefix="bench_backends_") as tmp:
-        quant_path = export_artifact(model, Path(tmp) / "int8.npz",
-                                     quantize="int8")
-        engine = engine_for_artifact(quant_path)
-    seed_histories(engine, shapes)
-    history = engine.history(0)
-    k = shapes["top_k"]
-
-    def cold_base() -> None:
-        engine.set_history(0, history)  # invalidates the cached state
-        engine.recommend(0, k=k)
-
-    arena = ArenaBackend()
-
-    def cold_arena() -> None:
-        engine.set_history(0, history)
-        with use_backend(arena), arena.scope():
-            engine.recommend(0, k=k)
-
-    results = {"base": _measure_allocs(cold_base, repeats, warmup),
-               "arena": _measure_allocs(cold_arena, repeats, warmup)}
-    results["arena"]["pool"] = arena.pool_stats()
-    base_arrays = results["base"]["array_allocs"]
-    results["array_alloc_reduction"] = (
-        1.0 - results["arena"]["array_allocs"] / base_arrays
-        if base_arrays else 0.0)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Section 4: GEMV precision micro
+# Section 3: GEMV precision micro
 # ----------------------------------------------------------------------
 def bench_gemv_micro(shapes: dict, repeats: int = 5, warmup: int = 2) -> dict:
-    """Item-table GEMV at each precision plus the honest int8 product."""
-    from repro.serve.quantize import int8_gemv, quantize_per_channel
-
+    """Item-table GEMV at each float precision."""
     rng = np.random.default_rng(3)
     table64 = rng.normal(size=(shapes["vocab"] + 1, shapes["dim"]))
     state64 = rng.normal(size=shapes["dim"])
     table32, state32 = table64.astype(np.float32), state64.astype(np.float32)
     table16, state16 = table64.astype(np.float16), state64.astype(np.float16)
-    q, scales = quantize_per_channel(table32)
 
     cases = {
         "float64": lambda: table64 @ state64,
         "float32": lambda: table32 @ state32,
         "float16": lambda: table16 @ state16,
-        "int8_gemv": lambda: int8_gemv(q, scales, state32),
     }
     results = {name: measure(case, repeats=max(repeats, 7), warmup=warmup)
                for name, case in cases.items()}
@@ -303,7 +229,6 @@ def run_backend_bench(shapes: dict | None = None, repeats: int = 5,
         "train_step": bench_train_step(shapes, repeats, warmup),
         "serve": bench_serve_quantized(shapes, repeats, warmup,
                                        reference_path=reference_path),
-        "arena": bench_arena(shapes, repeats, warmup),
         "gemv_micro": bench_gemv_micro(shapes, repeats, warmup),
     }
 
@@ -312,8 +237,8 @@ def format_summary(results: dict) -> str:
     """Human-readable summary of a results document."""
     as_us = lambda seconds: f"{seconds * 1e6:8.1f} us"  # noqa: E731
     train, serve = results["train_step"], results["serve"]
-    arena, micro = results["arena"], results["gemv_micro"]
-    lines = [f"backend bench  preset={results['preset']}"]
+    micro = results["gemv_micro"]
+    lines = [f"precision bench  preset={results['preset']}"]
     lines.append(
         f"  train step     float64 {train['float64']['wall_time_s'] * 1e3:8.2f} ms"
         f"   float32 {train['float32']['wall_time_s'] * 1e3:8.2f} ms"
@@ -329,16 +254,9 @@ def format_summary(results: dict) -> str:
                  f"   artifact {serve['artifact_bytes']['int8'] / 1e3:.0f} kB"
                  f" vs {serve['artifact_bytes']['float32'] / 1e3:.0f} kB")
     lines.append(
-        f"  arena cold     array allocs {arena['base']['array_allocs']}"
-        f" -> {arena['arena']['array_allocs']}"
-        f"   (-{arena['array_alloc_reduction'] * 100:.0f}%)"
-        f"   tensor allocs {arena['base']['tensor_allocs']}"
-        f" -> {arena['arena']['tensor_allocs']}")
-    lines.append(
         f"  gemv           f64 {as_us(micro['float64']['wall_time_s'])}"
         f"  f32 {as_us(micro['float32']['wall_time_s'])}"
-        f"  f16 {as_us(micro['float16']['wall_time_s'])}"
-        f"  int8 {as_us(micro['int8_gemv']['wall_time_s'])}")
+        f"  f16 {as_us(micro['float16']['wall_time_s'])}")
     return "\n".join(lines)
 
 

@@ -5,7 +5,7 @@ Pins the three contracts ``docs/graph-workloads.md`` promises:
 - both models are gradcheck-clean under the fused *and* composed kernel
   dispatch (KTUP's preference attention goes through ``F.softmax``, FM's
   training loss through the shared cross-entropy) and forward-consistent
-  across every numeric backend;
+  at both float dtypes;
 - both export to inference artifacts and serve through
   :class:`~repro.serve.RecommendationEngine` with evaluator-parity — the
   engine's metrics equal the offline model's bitwise;
@@ -29,8 +29,7 @@ from repro.serve import (
     load_artifact,
     servable_models,
 )
-from repro.tensor import Tensor, fused, gradcheck
-from repro.tensor.backend import available_backends, use_backend
+from repro.tensor import fused, gradcheck, use_dtype
 from repro.train import TrainConfig
 from repro.utils import set_seed
 
@@ -148,16 +147,16 @@ class TestGradcheck:
 
 
 class TestBackends:
-    """Forward pass must agree across every registered numeric backend."""
+    """Forward pass must agree at both float dtypes."""
 
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
-    def test_forward_consistent(self, backend):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_forward_consistent(self, dtype):
         inputs = np.array([[0, 1, 2, 3, 1, 5], [0, 0, 0, 4, 4, 2]])
         for build in (_tiny_ktup, _tiny_fm):
             set_seed(0)
             reference = build().sequence_output(inputs).data
             set_seed(0)
-            with use_backend(backend):
+            with use_dtype(dtype):
                 model = build()
                 output = model.sequence_output(inputs).data
             np.testing.assert_allclose(np.asarray(output, dtype=np.float64),

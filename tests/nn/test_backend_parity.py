@@ -1,21 +1,22 @@
-"""Forward parity of every ``repro.nn`` layer across compute backends.
+"""Forward parity of every ``repro.nn`` layer across the two float dtypes.
 
 For each layer the same seeded construction and the same input data run
-once under ``use_backend("float64")`` and once under
-``use_backend("float32")``; outputs must agree to 1e-5.  This pins down
-two properties at once: parameter initialisation draws identical values
-under every backend (only the storage dtype differs), and no layer's
-forward arithmetic hides a precision-sensitive step that reduced
-precision would silently distort.
+once under ``use_dtype("float64")`` and once under ``use_dtype("float32")``;
+outputs must agree to 1e-5.  This pins down two properties at once:
+parameter initialisation draws identical values at either dtype (only the
+storage dtype differs), and no layer's forward arithmetic hides a
+precision-sensitive step that reduced precision would silently distort.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor, use_backend
+from repro.tensor import Tensor, use_dtype
 from repro.utils import set_seed
 
 ATOL = 1e-5
@@ -153,10 +154,12 @@ BUILDERS = {
 }
 
 
-def _forward(name: str, backend: str) -> np.ndarray:
+def _forward(name: str, dtype: str | None) -> np.ndarray:
+    """Forward of one layer under ``use_dtype(dtype)`` (``None``: default)."""
     set_seed(1234)
     rng = np.random.default_rng(99)
-    with use_backend(backend):
+    scope = contextlib.nullcontext() if dtype is None else use_dtype(dtype)
+    with scope:
         layer, inputs = BUILDERS[name](rng)
         layer.eval()
         if not isinstance(inputs, tuple):
@@ -171,13 +174,12 @@ def test_forward_parity_float64_vs_float32(name):
     reduced = _forward(name, "float32")
     assert reduced.shape == full.shape
     np.testing.assert_allclose(reduced, full, atol=ATOL, rtol=0,
-                               err_msg=f"{name}: float32 backend diverged")
+                               err_msg=f"{name}: float32 diverged from float64")
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_forward_parity_default_vs_float32(name):
-    # The bit-compatible default and the strict float32 backend agree on
-    # the (float32-native) layer stack.
-    default = _forward(name, "numpy")
+    # The default dtype is float32: an explicit float32 scope changes nothing.
+    default = _forward(name, None)
     reduced = _forward(name, "float32")
-    np.testing.assert_allclose(reduced, default, atol=ATOL, rtol=0)
+    np.testing.assert_array_equal(reduced, default)

@@ -7,6 +7,8 @@ sunny-day contract plus the in-process router/queue units.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -55,6 +57,67 @@ class TestShardQueue:
         queue.put(ShardRequest("history", user=0, payload=[1]),
                   enforce_limit=False)
         assert queue.depth() == 3
+
+    def test_queued_control_traffic_does_not_shed_recommends(self):
+        # A bulk history load leaves many syncs queued; they must not count
+        # against the recommend admission limit.
+        limit = 4
+        queue = ShardQueue(shard=0, limit=limit)
+        for user in range(limit + 3):
+            queue.put(ShardRequest("history", user=user, payload=[1]),
+                      enforce_limit=False)
+        queue.put(ShardRequest("recommend", user=0))
+        for user in range(1, limit):
+            queue.put(ShardRequest("recommend", user=user))
+        with pytest.raises(Overloaded) as excinfo:
+            queue.put(ShardRequest("recommend", user=limit))
+        assert excinfo.value.depth == limit
+        assert queue.depth() == 2 * limit + 3
+        # Popping a recommend frees one admission slot.
+        while queue.get(timeout=0.1).kind != "recommend":
+            pass
+        queue.put(ShardRequest("recommend", user=limit))
+
+    def test_recommend_count_survives_concurrent_traffic(self):
+        # Producers and dispatchers race on the admission count; once the
+        # queue is empty again exactly ``limit`` recommends must fit.
+        limit = 3
+        queue = ShardQueue(shard=0, limit=limit)
+        stop = threading.Event()
+
+        def produce():
+            for user in range(300):
+                queue.put(ShardRequest("history", user=user, payload=[1]),
+                          enforce_limit=False)
+                try:
+                    queue.put(ShardRequest("recommend", user=user))
+                except Overloaded:
+                    pass
+
+        def consume():
+            while not stop.is_set():
+                queue.get(timeout=0.01)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [threading.Thread(target=consume) for _ in range(2)]
+            producers = [threading.Thread(target=produce) for _ in range(4)]
+            for thread in consumers + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30.0)
+            stop.set()
+            for thread in consumers:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in consumers + producers)
+        queue.drain(ServeError("reset"))
+        for user in range(limit):
+            queue.put(ShardRequest("recommend", user=user))
+        with pytest.raises(Overloaded):
+            queue.put(ShardRequest("recommend", user=limit))
 
     def test_backoff_entries_do_not_block_fresh_traffic(self):
         queue = ShardQueue(shard=0, limit=8)

@@ -2,11 +2,10 @@
 
 Three layers of guarantees:
 
-- the per-channel codec round-trips within its theoretical step size and
-  the honest int8 GEMV matches the dequantized float product;
-- a :class:`~repro.serve.QuantizedEngine` (both GEMM modes) agrees with
-  the exact engine's top-10 on at least 80% of items per request (in
-  practice overlap is ~99%; the floor leaves room for tie shuffles);
+- the per-channel codec round-trips within its theoretical step size;
+- a :class:`~repro.serve.QuantizedEngine` agrees with the exact engine's
+  top-10 on at least 80% of items per request (in practice overlap is
+  ~99%; the floor leaves room for tie shuffles);
 - a quantized artifact survives the full production path: transparent
   ``load_artifact`` decode, ``engine_for_artifact`` dispatch, and a
   canary-validated :meth:`~repro.serve.ServingCluster.swap` onto a live
@@ -28,7 +27,6 @@ from repro.serve import (
     dequantize,
     engine_for_artifact,
     export_artifact,
-    int8_gemv,
     load_artifact,
     quantize_per_channel,
     read_quantization,
@@ -83,28 +81,12 @@ class TestCodec:
         with pytest.raises(ValueError, match="scalar"):
             quantize_per_channel(np.float32(3.0))
 
-    def test_int8_gemv_matches_float_product(self):
-        rng = np.random.default_rng(1)
-        weights = rng.normal(size=(40, 16)).astype(np.float32)
-        x = rng.normal(size=16).astype(np.float32)
-        q, scales = quantize_per_channel(weights)
-        exact = dequantize(q, scales) @ x
-        got = int8_gemv(q, scales, x)
-        # One extra per-tensor activation quantization of error.
-        scale = float(np.abs(exact).max())
-        np.testing.assert_allclose(got, exact, atol=0.02 * scale)
-
-    def test_int8_gemv_zero_vector(self):
-        q, scales = quantize_per_channel(np.ones((4, 3), dtype=np.float32))
-        assert np.all(int8_gemv(q, scales, np.zeros(3, dtype=np.float32)) == 0)
-
 
 class TestQuantizedEngine:
-    @pytest.mark.parametrize("gemm", ["dequant", "int8"])
     def test_topk_overlap_vs_exact(self, frozen_model, quantized_artifact,
-                                   tiny_split, gemm):
+                                   tiny_split):
         exact = RecommendationEngine(frozen_model, cache_size=64)
-        quant = engine_for_artifact(quantized_artifact, cache_size=64, gemm=gemm)
+        quant = engine_for_artifact(quantized_artifact, cache_size=64)
         assert isinstance(quant, QuantizedEngine)
         overlaps = []
         for user in range(tiny_split.num_users):
@@ -143,12 +125,6 @@ class TestQuantizedEngine:
         info = engine.quantization_info()
         assert info["scheme"] == "int8"
         assert info["compression"] > 3.0
-
-    def test_bad_gemm_mode_rejected(self, frozen_model):
-        q, scales = quantize_per_channel(
-            frozen_model.item_embedding.weight.data)
-        with pytest.raises(ValueError, match="gemm"):
-            QuantizedEngine(frozen_model, q, scales, gemm="fp4")
 
     def test_float_table_rejected(self, frozen_model):
         weights = frozen_model.item_embedding.weight.data

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, is_grad_enabled, no_grad, use_backend
+from repro.tensor import Tensor, is_grad_enabled, no_grad
 
 
 class TestBackward:
@@ -96,13 +96,9 @@ class TestDtypes:
 
     def test_float64_preserved(self):
         # float64 passes through so gradcheck can run in full precision;
-        # Python float lists arrive as float64 and stay float64.  This is
-        # the *default* backend's policy — pinned explicitly so the test
-        # also holds when the suite runs under REPRO_BACKEND=float32,
-        # whose strict policy intentionally demotes float64.
-        with use_backend("numpy"):
-            assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
-            assert Tensor([1.0, 2.0]).dtype == np.float64
+        # Python float lists arrive as float64 and stay float64.
+        assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
+        assert Tensor([1.0, 2.0]).dtype == np.float64
 
     def test_integer_data_keeps_dtype_and_never_requires_grad(self):
         t = Tensor(np.array([1, 2, 3]), requires_grad=True)

@@ -1,126 +1,78 @@
-"""The pluggable compute-backend seam (``repro.tensor.backend``).
+"""The thread-scoped float dtype setting (``default_dtype`` / ``use_dtype``).
 
-Covers the dtype policies of every registered backend — including the
-regression for float32 arrays surviving tensor construction under a
-non-default backend — bit-compatibility of the default backend, the
-scoping/nesting semantics of ``use_backend``/``set_backend``, and the
-arena backend's buffer pooling (engages only inside a scope *and*
-inference mode; recycles on scope exit; bounded pool).
+Covers the coercion rules of tensor construction — including the
+regression for float32 arrays surviving tensor construction inside a
+float64 scope — parameter initialisation following the setting, the
+scoping/nesting semantics of ``use_dtype``, and bit-compatibility of the
+tensor ops with the plain numpy expressions they wrap.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.nn import Linear
-from repro.tensor import (
-    ArenaBackend, Tensor, active_backend, array_allocs, available_backends,
-    gradcheck, inference_mode, set_backend, use_backend,
-)
-from repro.tensor.backend import BACKENDS, Float32Backend, NumpyBackend
+from repro.tensor import Tensor, default_dtype, gradcheck, use_dtype, zeros
 from repro.utils import set_seed
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        names = available_backends()
-        for expected in ("numpy", "default", "float64", "float32", "arena"):
-            assert expected in names
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            with use_backend("float128"):
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            with use_dtype(np.float16):
                 pass
-
-    def test_use_backend_yields_instance(self):
-        with use_backend("float64") as backend:
-            assert backend.name == "float64"
-            assert active_backend() is backend
-
-    def test_backend_instance_accepted(self):
-        arena = ArenaBackend()
-        with use_backend(arena) as backend:
-            assert backend is arena
+        assert default_dtype() is np.float32
 
     def test_nesting_restores(self):
-        # Robust under REPRO_BACKEND: compare against the ambient default
-        # rather than assuming the process default is "numpy".
-        ambient = active_backend().name
-        with use_backend("float64"):
-            with use_backend("float32"):
-                assert active_backend().name == "float32"
-            assert active_backend().name == "float64"
-        assert active_backend().name == ambient
-
-    def test_set_backend_returns_previous(self):
-        ambient = active_backend().name
-        previous = set_backend("float64")
-        try:
-            assert active_backend().name == "float64"
-        finally:
-            set_backend(previous)
-        assert active_backend().name == ambient
+        assert default_dtype() is np.float32
+        with use_dtype(np.float64):
+            with use_dtype("float32"):
+                assert default_dtype() is np.float32
+            assert default_dtype() is np.float64
+        assert default_dtype() is np.float32
 
     def test_thread_override_is_local(self):
-        ambient = active_backend().name
         seen = {}
 
         def probe():
-            seen["name"] = active_backend().name
+            seen["dtype"] = default_dtype()
 
-        with use_backend("float64"):
+        with use_dtype(np.float64):
             worker = threading.Thread(target=probe)
             worker.start()
             worker.join()
-        assert seen["name"] == ambient
-
-    def test_env_selector(self):
-        # REPRO_BACKEND installs the process-global default at import.
-        code = ("from repro.tensor import active_backend; "
-                "print(active_backend().name)")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "REPRO_BACKEND": "float32",
-                 "PYTHONPATH": "src"}, cwd=os.getcwd(), check=True)
-        assert result.stdout.strip() == "float32"
+        assert seen["dtype"] is np.float32
 
 
 class TestDtypePolicy:
     def test_default_backend_implicit_dtypes(self):
-        # Bit-compatible with the pre-seam substrate: python floats arrive
-        # float64 and stay, integers stay integral.
-        with use_backend("numpy"):
-            assert Tensor([1.0, 2.0]).dtype == np.float64
-            assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float32
-            assert Tensor([1, 2]).dtype == np.int64
+        # Python floats arrive float64 and stay, integers stay integral.
+        assert Tensor([1.0, 2.0]).dtype == np.float64
+        assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float32
+        assert Tensor([1, 2]).dtype == np.int64
+        assert Tensor([True]).dtype == np.bool_
+        assert zeros(2).dtype == np.float32
 
     def test_float32_preserved_under_float64_backend(self):
-        # Regression (satellite): a non-default backend must not silently
-        # promote explicit float32 data on Tensor construction.
-        with use_backend("float64"):
+        # Regression: a float64 scope must not silently promote explicit
+        # float32 data on Tensor construction.
+        with use_dtype(np.float64):
             assert Tensor(np.zeros(4, dtype=np.float32)).dtype == np.float32
-            # ...while implicit python-float data follows the backend.
             assert Tensor([1.0, 2.0]).dtype == np.float64
-
-    def test_float32_backend_demotes_float64(self):
-        with use_backend("float32"):
-            assert Tensor(np.zeros(4, dtype=np.float64)).dtype == np.float32
-            assert Tensor([1.0, 2.0]).dtype == np.float32
-            assert Tensor([1, 2]).dtype == np.int64
+            assert zeros(2).dtype == np.float64
 
     def test_explicit_dtype_always_wins(self):
-        with use_backend("float32"):
-            assert Tensor([1.0], dtype=np.float64).dtype == np.float64
+        with use_dtype(np.float64):
+            assert Tensor([1.0], dtype=np.float32).dtype == np.float32
+            assert zeros(2, dtype=np.float32).dtype == np.float32
+        assert Tensor([1.0], dtype=np.float64).dtype == np.float64
 
     def test_param_init_follows_backend(self):
         set_seed(3)
-        with use_backend("float64"):
+        with use_dtype(np.float64):
             layer64 = Linear(4, 3)
         set_seed(3)
         layer32 = Linear(4, 3)
@@ -132,14 +84,14 @@ class TestDtypePolicy:
 
     def test_half_precision_input_coerces_to_backend_dtype(self):
         assert Tensor(np.zeros(2, dtype=np.float16)).dtype == np.float32
-        with use_backend("float64"):
+        with use_dtype(np.float64):
             assert Tensor(np.zeros(2, dtype=np.float16)).dtype == np.float64
+            assert Tensor(np.array([1.5], dtype=object)).dtype == np.float64
 
 
 class TestNumericsThroughBackends:
     def test_default_backend_bit_compatible(self):
-        # The seam's default path must produce byte-identical results to
-        # raw numpy for the routed expressions.
+        # Tensor ops must produce byte-identical results to raw numpy.
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 4)).astype(np.float32)
         b = rng.normal(size=(4, 3)).astype(np.float32)
@@ -156,113 +108,22 @@ class TestNumericsThroughBackends:
         np.testing.assert_allclose((Tensor(a) @ Tensor(b)).data,
                                    np.matmul(a, b), rtol=1e-6)
 
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("name", ["float32", "float64"])
     def test_train_step_runs_under_every_backend(self, name):
         set_seed(11)
-        with use_backend(name):
+        with use_dtype(name):
             layer = Linear(6, 2)
             x = Tensor(np.random.default_rng(2).normal(size=(3, 6)))
             loss = (layer(x) ** 2).sum()
             loss.backward()
+            assert layer.weight.dtype == np.dtype(name)
             assert layer.weight.grad is not None
             assert np.isfinite(loss.data)
 
     def test_gradcheck_passes_under_float32_backend(self):
-        # gradcheck upcasts internally, so reduced-precision sessions keep
+        # gradcheck upcasts internally, so float32 inputs keep
         # full-precision gradient validation at unchanged tolerances.
-        with use_backend("float32"):
-            x = Tensor(np.random.default_rng(4).normal(size=(3, 3)),
-                       requires_grad=True)
-            assert x.dtype == np.float32
-            assert gradcheck(lambda t: (t.exp() * t).sum(), [x])
-
-
-class TestArenaBackend:
-    def test_no_pooling_outside_scope(self):
-        arena = ArenaBackend()
-        with use_backend(arena):
-            with inference_mode():
-                x = Tensor(np.ones((4, 4), dtype=np.float32))
-                (x @ x).sum()
-        assert arena.pool_stats()["hits"] == 0
-        assert arena.pool_stats()["misses"] == 0
-
-    def test_no_pooling_while_grad_enabled(self):
-        # With a tape recording, buffers can outlive the scope; the arena
-        # must degrade to plain allocation.
-        arena = ArenaBackend()
-        with use_backend(arena), arena.scope():
-            x = Tensor(np.ones((4, 4), dtype=np.float32), requires_grad=True)
-            (x @ x).sum().backward()
-        assert arena.pool_stats()["misses"] == 0
-
-    def test_scope_recycles_buffers(self):
-        arena = ArenaBackend()
-        x = np.ones((8, 8), dtype=np.float32)
-        with use_backend(arena), inference_mode():
-            with arena.scope():
-                (Tensor(x) @ Tensor(x)).sum()
-            first = arena.pool_stats()
-            with arena.scope():
-                (Tensor(x) @ Tensor(x)).sum()
-            second = arena.pool_stats()
-        assert first["misses"] > 0
-        assert second["hits"] >= first["misses"]
-        assert second["misses"] == first["misses"]
-        assert second["leased"] == 0
-
-    def test_array_allocs_drop_on_pool_hits(self):
-        arena = ArenaBackend()
-        x = np.ones((16, 16), dtype=np.float32)
-
-        def run():
-            before = array_allocs()
-            with arena.scope():
-                (Tensor(x) @ Tensor(x) * Tensor(x)).sum()
-            return array_allocs() - before
-
-        with use_backend(arena), inference_mode():
-            cold = run()
-            warm = run()
-        assert cold > 0
-        assert warm < cold
-
-    def test_pooled_results_correct(self):
-        arena = ArenaBackend()
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 7)).astype(np.float32)
-        b = rng.normal(size=(7, 3)).astype(np.float32)
-        expected = np.tanh(a @ b) + 1.0
-        with use_backend(arena), inference_mode(), arena.scope():
-            for _ in range(3):  # repeats reuse recycled buffers
-                got = ((Tensor(a) @ Tensor(b)).tanh() + Tensor(
-                    np.ones((6, 3), dtype=np.float32))).data
-                np.testing.assert_allclose(got, expected, rtol=1e-6)
-
-    def test_pool_bounded(self):
-        arena = ArenaBackend(max_buffers=2)
-        x = np.ones((4, 4), dtype=np.float32)
-        with use_backend(arena), inference_mode():
-            with arena.scope():
-                for _ in range(8):
-                    Tensor(x) @ Tensor(x)
-        assert arena.pool_stats()["pooled_buffers"] <= 2
-
-    def test_nested_scopes_release_once(self):
-        arena = ArenaBackend()
-        x = np.ones((4, 4), dtype=np.float32)
-        with use_backend(arena), inference_mode():
-            with arena.scope():
-                with arena.scope():
-                    Tensor(x) @ Tensor(x)
-                # inner exit must NOT recycle: the outer scope still runs.
-                assert arena.pool_stats()["leased"] > 0
-            assert arena.pool_stats()["leased"] == 0
-
-    def test_arena_coerce_delegates(self):
-        arena = ArenaBackend(base=Float32Backend())
-        with use_backend(arena):
-            assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float32
-
-    def test_repr_mentions_name(self):
-        assert "numpy" in repr(NumpyBackend())
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 3)),
+                   requires_grad=True, dtype=np.float32)
+        assert x.dtype == np.float32
+        assert gradcheck(lambda t: (t.exp() * t).sum(), [x])
