@@ -15,7 +15,7 @@ test-faults:      ## fault-injection suite (kill/resume, divergence, corruption)
 test-chaos:       ## serving chaos suite (worker kills, corruption, injected faults)
 	pytest tests/serve -m faults
 
-test-serve:       ## serving subsystem: exporter, engine, batcher, cluster, parity, golden run
+test-serve:       ## serving subsystem: exporter, engine, quantized artifacts, cluster, parity, golden run
 	pytest tests/serve tests/test_golden_e2e.py
 
 test-parallel:    ## parallel subsystem: data-parallel trainer, prefetch, sweep executor
@@ -42,7 +42,7 @@ bench-full:       ## full profiles (~hours)
 bench-kernels:    ## fused vs composed kernel microbench, writes BENCH_kernels.json (<60 s)
 	PYTHONPATH=src python -m repro.utils.bench --out BENCH_kernels.json
 
-bench-serve:      ## serving latency/load benchmark, writes BENCH_serve.json (<60 s)
+bench-serve:      ## single-request serving latency benchmark, writes BENCH_serve.json (<60 s)
 	PYTHONPATH=src python -m repro.serve.bench --out BENCH_serve.json
 
 bench-backends:   ## float32-vs-float64 and int8-serving benchmark, writes BENCH_backends.json (<5 min)

@@ -2,11 +2,12 @@
 
 Exercises every claim of ``repro/utils/bench_backends.py`` (see
 ``docs/performance.md``): the float32-vs-float64 fused train step, the
-int8-quantized warm serving path against the exact engine and the
-committed ``BENCH_serve.json`` reference, and the GEMV dtype ladder.  The workload follows ``REPRO_BENCH``: ``smoke`` runs
-miniature shapes as a plumbing check; ``standard``/``full`` run the
-default ISRec-sized shapes recorded in the committed
-``BENCH_backends.json``.
+int8-quantized artifact served next to the exact one (warm latency,
+top-10 overlap, ranking parity, size) with the committed
+``BENCH_serve.json`` reference, and the GEMV dtype ladder.  The workload
+follows ``REPRO_BENCH``: ``smoke`` runs miniature shapes as a plumbing
+check; ``standard``/``full`` run the default ISRec-sized shapes recorded
+in the committed ``BENCH_backends.json``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ def test_backend_bench_records_baseline():
     # there.
     floor = 2.0 if run["preset"] == "default" else 1.0
     assert train["speedup_f32_vs_f64"] >= floor
-    # Quantized warm serving must beat the exact engine...
-    assert (serve["warm_int8_dequant"]["wall_time_s"]
-            < serve["warm_exact"]["wall_time_s"])
-    # ...while agreeing with it: top-10 overlap and ranking-metric parity.
+    # The int8 artifact must agree with the exact one: top-10 overlap and
+    # ranking-metric parity.
     assert serve["topk_overlap"]["int8_dequant"]["mean"] >= 0.9
     parity = serve["ranking_metrics"]["abs_diff_dequant"]  # {hr@k, ndcg@k}
     assert all(diff <= 0.02 for diff in parity.values())

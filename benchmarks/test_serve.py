@@ -1,9 +1,8 @@
 """Serving benchmark: regenerates ``BENCH_serve.json`` at the repo root.
 
 Freezes an ISRec-sized model into an inference artifact, then measures the
-single-request path (training-forward baseline vs. cold vs. warm serving)
-and a threaded load test through the micro-batcher (see
-``repro/serve/bench.py`` and ``docs/serving.md``).  The workload follows
+single-request path (training-forward baseline vs. cold vs. warm serving;
+see ``repro/serve/bench.py`` and ``docs/serving.md``).  The workload follows
 ``REPRO_BENCH``: ``smoke`` runs miniature shapes as a plumbing check;
 ``standard``/``full`` run the default ISRec-sized shapes recorded in the
 committed ``BENCH_serve.json``.
@@ -36,14 +35,10 @@ def test_serve_bench_records_baseline():
     emit("Serving benchmark (BENCH_serve.json)", bench.format_summary(results))
 
     assert results["schema"] == bench.SCHEMA
-    single, load = results["single_request"], results["load"]
+    single = results["single_request"]
     # A serve request must never build an autograd tape.
     assert single["graph_nodes_per_request"] == 0
     # Acceptance floor: single-request scoring at least 2x faster than
     # pushing the request through the training-path forward.
     assert single["speedup"] >= 2.0
     assert single["serve_warm"]["wall_time_s"] < single["serve_cold"]["wall_time_s"]
-    assert load["requests"] == load["clients"] * results["shapes"]["requests_per_client"]
-    assert load["latency_p99_s"] >= load["latency_p50_s"] > 0
-    assert 0.0 < load["cache_hit_rate"] <= 1.0
-    assert load["mean_batch_size"] >= 1.0

@@ -46,7 +46,7 @@ from repro.online.shadow import ShadowEvaluator, ShadowRegression
 from repro.serve.artifact import export_artifact, load_artifact
 from repro.serve.bench import build_model
 from repro.serve.cluster import ClusterConfig, ServingCluster
-from repro.serve.quantize import engine_for_artifact
+from repro.serve.engine import RecommendationEngine
 from repro.utils.bench import environment_info, write_bench
 
 SCHEMA = "bench_online/v1"
@@ -213,7 +213,8 @@ def run_online_bench(preset: str = "default",
                 }
 
                 # --- the gate must refuse a regressed candidate ---------
-                incumbent_engine = engine_for_artifact(cluster.artifact_path)
+                incumbent_engine = RecommendationEngine(
+                    load_artifact(cluster.artifact_path))
                 examples = []
                 for user in range(shapes["shadow_users"]):
                     history = cluster.router.history(user)
@@ -225,9 +226,10 @@ def run_online_bench(preset: str = "default",
                     regressed, Path(tmp) / "regressed.npz")
                 strict_gate = ShadowEvaluator(examples, k=shapes["top_k"])
                 try:
-                    strict_gate.gate(incumbent_engine,
-                                     engine_for_artifact(regressed_path),
-                                     tolerance=0.05)
+                    strict_gate.gate(
+                        incumbent_engine,
+                        RecommendationEngine(load_artifact(regressed_path)),
+                        tolerance=0.05)
                     refusal = {"refused": False, "shadow": None}
                 except ShadowRegression as error:
                     refusal = {"refused": True,

@@ -40,8 +40,8 @@ from repro.online.events import EventLog
 from repro.online.shadow import ShadowEvaluator, ShadowRegression
 from repro.optim import Adam
 from repro.optim.optimizer import clip_grad_norm, grad_norm
-from repro.serve.artifact import export_artifact
-from repro.serve.quantize import engine_for_artifact
+from repro.serve.artifact import export_artifact, load_artifact
+from repro.serve.engine import RecommendationEngine
 from repro.train.checkpoint import CheckpointManager, TrainState, load_train_state
 from repro.train.trainer import TrainingDiverged, TrainingHistory
 from repro.utils.seeding import get_rng
@@ -315,8 +315,9 @@ class OnlineLearner:
         path = self.export(path)
         report = None
         if self.shadow is not None:
-            incumbent = engine_for_artifact(self.cluster.artifact_path)
-            candidate = engine_for_artifact(path)
+            incumbent = RecommendationEngine(
+                load_artifact(self.cluster.artifact_path))
+            candidate = RecommendationEngine(load_artifact(path))
             try:
                 report = self.shadow.gate(incumbent, candidate,
                                           self.config.shadow_tolerance)

@@ -26,6 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.models.base import SequenceRecommender
+from repro.serve.quantize import (
+    _MIN_QUANT_NDIM,
+    QUANT_SCHEMES,
+    dequantize,
+    quantize_per_channel,
+)
 from repro.train.checkpoint import load_model_state
 from repro.utils.serialization import (
     CheckpointIntegrityError,
@@ -88,14 +94,8 @@ def export_artifact(model: SequenceRecommender, path: str | Path,
     symmetric per-channel int8 array plus a ``quant/<name>`` scale vector
     (:func:`~repro.serve.quantize.quantize_per_channel`); vectors (biases,
     layer-norm gains) stay float.  :func:`load_artifact` decodes the
-    weights transparently, and :func:`~repro.serve.quantize.engine_for_artifact`
-    additionally serves the raw int8 item table through a
-    :class:`~repro.serve.quantize.QuantizedEngine`.
+    weights transparently, so the same engine serves either kind.
     """
-    from repro.serve.quantize import (
-        QUANT_SCHEMES, _MIN_QUANT_NDIM, quantize_per_channel,
-    )
-
     if quantize is not None and quantize not in QUANT_SCHEMES:
         raise ValueError(f"unknown quantization scheme {quantize!r}; "
                          f"available: {', '.join(QUANT_SCHEMES)}")
@@ -192,8 +192,6 @@ def load_artifact(path: str | Path) -> SequenceRecommender:
         raise CheckpointIntegrityError(f"{path}: artifact holds no weights")
     for name in meta.get("quantized_weights", ()):
         # Transparent decode of int8-quantized matrices to float32.
-        from repro.serve.quantize import dequantize
-
         scales = arrays.get(f"{_QUANT_PREFIX}{name}")
         if scales is None or name not in weights:
             raise CheckpointIntegrityError(
@@ -204,29 +202,3 @@ def load_artifact(path: str | Path) -> SequenceRecommender:
     model.load_state_dict(weights)
     model.eval()
     return model
-
-
-def read_quantization(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Raw quantized payloads of an artifact: ``name -> (int8, scales)``.
-
-    Returns an empty dict for unquantized artifacts.  This is how
-    :func:`~repro.serve.quantize.engine_for_artifact` reaches the int8
-    item table that :func:`load_artifact` transparently dequantizes.
-    """
-    path = Path(path)
-    if not path.exists() and normalize_checkpoint_path(path).exists():
-        path = normalize_checkpoint_path(path)
-    arrays, meta = read_npz_verified(path)
-    if meta.get("kind") != ARTIFACT_KIND:
-        raise CheckpointIntegrityError(
-            f"{path}: not an inference artifact (kind={meta.get('kind')!r})")
-    quantized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in meta.get("quantized_weights", ()):
-        q = arrays.get(f"{_WEIGHT_PREFIX}{name}")
-        scales = arrays.get(f"{_QUANT_PREFIX}{name}")
-        if q is None or scales is None:
-            raise CheckpointIntegrityError(
-                f"{path}: quantized weight {name!r} is missing its data "
-                f"or quant/ scales")
-        quantized[name] = (q, scales)
-    return quantized

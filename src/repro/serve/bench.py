@@ -1,4 +1,4 @@
-"""Serving benchmark: single-request latency + a threaded load test.
+"""Serving benchmark: single-request latency of the engine.
 
 Measures the serving stack end to end on an ISRec-sized workload and
 writes ``BENCH_serve.json`` at the repository root (``make bench-serve``):
@@ -11,10 +11,11 @@ writes ``BENCH_serve.json`` at the repository root (``make bench-serve``):
   ``serve_warm`` (cache hit: a GEMV over the item table plus an exact
   partial sort).  The headline ``speedup`` is warm-vs-training-path; the
   acceptance floor is 2x.
-- ``load`` — ``clients`` threads hammer a :class:`~repro.serve.MicroBatcher`
-  with a mixed read/write request stream while telemetry is on; reports
-  p50/p99 request latency, throughput, cache hit rate, and batch fill.
 - ``artifact`` — size of the frozen inference artifact on disk.
+
+Throughput and tail latency under concurrent load are measured through
+the serving cluster by ``make bench-serve-cluster``
+(:mod:`repro.serve.loadgen`).
 
 Run it directly::
 
@@ -26,33 +27,28 @@ from __future__ import annotations
 
 import argparse
 import tempfile
-import threading
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import obs
 from repro.core.config import ISRecConfig
 from repro.core.isrec import ISRec
 from repro.data.batching import pad_left
 from repro.serve.artifact import export_artifact, load_artifact
-from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import RecommendationEngine
 from repro.tensor.tensor import graph_nodes
 from repro.utils.bench import environment_info, measure, write_bench
 from repro.utils.seeding import temp_seed
 
-SCHEMA = "bench_serve/v1"
+SCHEMA = "bench_serve/v2"
 
 #: ML-1M-scale serving workload (matches the kernel-bench default shapes).
 DEFAULT_SHAPES = dict(vocab=3416, dim=64, max_len=50, num_concepts=48,
-                      num_users=512, history_len=30, top_k=10,
-                      clients=8, requests_per_client=100, write_fraction=0.1)
+                      num_users=512, history_len=30, top_k=10)
 #: Miniature preset for CI smoke runs.
 SMOKE_SHAPES = dict(vocab=200, dim=32, max_len=16, num_concepts=12,
-                    num_users=32, history_len=10, top_k=10,
-                    clients=4, requests_per_client=16, write_fraction=0.1)
+                    num_users=32, history_len=10, top_k=10)
 
 PRESETS = {"default": DEFAULT_SHAPES, "smoke": SMOKE_SHAPES}
 
@@ -142,66 +138,6 @@ def bench_single_request(model: ISRec, engine: RecommendationEngine,
     }
 
 
-def bench_load(engine: RecommendationEngine, shapes: dict) -> dict:
-    """Threaded load test through the micro-batcher, telemetry on."""
-    registry = obs.MetricsRegistry()
-    previous_registry = obs.set_registry(registry)
-    previous_telemetry = obs.set_telemetry(True)
-    clients = shapes["clients"]
-    per_client = shapes["requests_per_client"]
-    errors: list[BaseException] = []
-    try:
-        with MicroBatcher(engine, max_batch_size=max(clients, 2),
-                          max_wait_s=0.002) as batcher:
-            barrier = threading.Barrier(clients)
-
-            def client(index: int) -> None:
-                rng = np.random.default_rng(100 + index)
-                try:
-                    barrier.wait()
-                    for _ in range(per_client):
-                        user = int(rng.integers(0, shapes["num_users"]))
-                        if rng.random() < shapes["write_fraction"]:
-                            engine.observe(
-                                user, int(rng.integers(1, shapes["vocab"] + 1)))
-                        batcher.recommend(user, k=shapes["top_k"])
-                except BaseException as exc:
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=client, args=(index,))
-                       for index in range(clients)]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
-            batch_stats = batcher.stats()
-    finally:
-        obs.set_telemetry(previous_telemetry)
-        obs.set_registry(previous_registry)
-    if errors:
-        raise errors[0]
-    total = clients * per_client
-    latency = registry.histogram("serve.request_latency_s")
-    hits = registry.counter("serve.cache.hits").value
-    misses = registry.counter("serve.cache.misses").value
-    fill = registry.histogram("serve.batch_fill")
-    return {
-        "clients": clients,
-        "requests": total,
-        "seconds": elapsed,
-        "throughput_rps": total / elapsed if elapsed > 0 else None,
-        "latency_p50_s": latency.quantile(0.5),
-        "latency_p99_s": latency.quantile(0.99),
-        "latency_mean_s": latency.mean,
-        "cache_hit_rate": hits / (hits + misses) if (hits + misses) else None,
-        "batches": batch_stats["batches"],
-        "mean_batch_size": batch_stats["mean_batch_size"],
-        "mean_batch_fill": fill.mean,
-    }
-
-
 # ----------------------------------------------------------------------
 # Top-level runner / CLI
 # ----------------------------------------------------------------------
@@ -229,13 +165,12 @@ def run_serve_bench(preset: str = "default", repeats: int = 5,
         "artifact": {"bytes": int(artifact_bytes)},
         "single_request": bench_single_request(model, engine, shapes,
                                                repeats, warmup),
-        "load": bench_load(engine, shapes),
     }
 
 
 def format_summary(results: dict) -> str:
     """Human-readable summary of a serve-bench results document."""
-    single, load = results["single_request"], results["load"]
+    single = results["single_request"]
     as_ms = lambda value: "n/a" if value is None else f"{value * 1e3:.3f} ms"
     return "\n".join([
         f"serve bench  preset={results['preset']}  "
@@ -246,11 +181,6 @@ def format_summary(results: dict) -> str:
         f"   serve warm {as_ms(single['serve_warm']['wall_time_s'])}"
         f" ({single['speedup_warm']:.1f}x)",
         f"  graph nodes / request: {single['graph_nodes_per_request']}",
-        f"  load: {load['requests']} requests / {load['clients']} clients"
-        f"  {load['throughput_rps']:.0f} rps"
-        f"   p50 {as_ms(load['latency_p50_s'])}  p99 {as_ms(load['latency_p99_s'])}"
-        f"   cache hit rate {load['cache_hit_rate']:.2f}"
-        f"   mean batch {load['mean_batch_size']:.1f}",
     ])
 
 

@@ -50,8 +50,8 @@ import numpy as np
 from repro import obs
 from repro.models.pop import PopRec
 from repro.online.events import EventLog
-from repro.serve.artifact import ARTIFACT_KIND
-from repro.serve.quantize import engine_for_artifact
+from repro.serve.artifact import ARTIFACT_KIND, load_artifact
+from repro.serve.engine import RecommendationEngine
 from repro.serve.router import (
     DeadlineExceeded,
     Router,
@@ -75,12 +75,12 @@ from repro.utils.serialization import (
 def _build_engine(artifact_path: str, cache_size: int, fault_plan):
     """Build the (optionally faulty) worker engine for an artifact.
 
-    Routed through :func:`~repro.serve.quantize.engine_for_artifact`, so a
-    worker handed an int8-quantized artifact — at boot or mid-roll via
-    :meth:`ServingCluster.swap` — transparently serves it through a
-    :class:`~repro.serve.quantize.QuantizedEngine`.
+    :func:`~repro.serve.artifact.load_artifact` dequantizes an int8
+    artifact, so a worker handed one — at boot or mid-roll via
+    :meth:`ServingCluster.swap` — serves it with the same engine.
     """
-    engine = engine_for_artifact(artifact_path, cache_size=cache_size)
+    engine = RecommendationEngine(load_artifact(artifact_path),
+                                  cache_size=cache_size)
     if fault_plan is not None:
         from repro.utils.faults import FaultyServeEngine
 
@@ -329,6 +329,8 @@ class ServingCluster:
                       if deadline_s is None else float(deadline_s))
         if deadline_s <= 0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+        if int(k) < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         with obs.timer("serve.cluster.request_latency_s"):
             if self.router.brownout:
                 return self.router.degraded_response(user, k, filter_seen)

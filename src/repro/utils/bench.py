@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from typing import Callable
@@ -48,12 +49,23 @@ SMOKE_SHAPES = dict(batch_size=8, seq_len=16, vocab=200, dim=32,
 PRESETS = {"default": DEFAULT_SHAPES, "smoke": SMOKE_SHAPES}
 
 
+#: Environment variables that set the BLAS/OpenMP thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
 def environment_info() -> dict:
-    """Python/numpy/platform stamp written into every bench document."""
+    """Python/numpy/platform/CPU stamp written into every bench document.
+
+    Records the BLAS thread variables (``None`` when unset) and the number
+    of CPUs this process may run on, the two settings a timing depends on.
+    """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "cpu_affinity": len(os.sched_getaffinity(0)),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
 
 

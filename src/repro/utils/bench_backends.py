@@ -8,12 +8,11 @@ Three sections, written to ``BENCH_backends.json`` at the repository root
   default.  The float64 run is the full-precision baseline; the recorded
   ``speedup_f32_vs_f64`` is the reduced-precision win (acceptance floor:
   2x).
-- ``serve`` — warm-request latency of the exact float engine versus the
-  int8-quantized engine (dequantized at load) over identical artifacts
-  and histories, plus accuracy parity: mean/min top-10 overlap,
-  exact-top-1 agreement, and held-out HR@10 / NDCG@10 for both engines.
-  The quantized engine must beat the freshly measured exact warm path;
-  the committed ``BENCH_serve.json`` warm reference is recorded beside it.
+- ``serve`` — warm-request latency of one engine class over a float
+  artifact and over its int8-quantized twin (dequantized at load), with
+  identical histories, plus accuracy parity: mean/min top-10 overlap,
+  exact-top-1 agreement, and held-out HR@10 / NDCG@10 for both.  The
+  committed ``BENCH_serve.json`` warm reference is recorded beside them.
 - ``gemv_micro`` — the raw item-table GEMV at float64/float32/float16
   precision, so the dtype story behind the engine defaults is on the
   record.
@@ -117,9 +116,9 @@ def _holdout_metrics(engine, holdouts: dict[int, int], k: int) -> dict:
 
 def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
                           reference_path: str | Path | None = None) -> dict:
-    """Exact vs quantized engines: warm latency and ranking parity."""
-    from repro.serve import (RecommendationEngine, engine_for_artifact,
-                             export_artifact, load_artifact)
+    """Exact vs int8 artifacts: warm latency and ranking parity."""
+    from repro.serve import (RecommendationEngine, export_artifact,
+                             load_artifact)
     from repro.serve.bench import build_model, seed_histories
 
     model = build_model(shapes)
@@ -131,7 +130,7 @@ def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
                           "int8": quant_path.stat().st_size}
         engines = {
             "exact": RecommendationEngine(load_artifact(exact_path)),
-            "int8_dequant": engine_for_artifact(quant_path),
+            "int8_dequant": RecommendationEngine(load_artifact(quant_path)),
         }
     k = shapes["top_k"]
     holdouts: dict[int, int] = {}

@@ -23,7 +23,7 @@ The serving chaos half drives the ``tests/serve/test_chaos.py`` suite
   request, indistinguishable from SIGKILL to the parent);
 - :class:`FaultyServeEngine` — a transparent proxy over a
   :class:`~repro.serve.engine.RecommendationEngine` applying the plan to
-  ``recommend`` / ``recommend_batch``; the cluster worker wraps its engine
+  ``recommend``; the cluster worker wraps its engine
   with this when a plan is supplied;
 - :func:`corrupt_file` — flip bytes in place so a checksummed artifact
   fails verification without changing its size.
@@ -163,7 +163,7 @@ class ServeFaultPlan:
     """Schedule of per-request serving faults for a cluster worker.
 
     Indices are 1-based positions in the worker's request stream (each
-    ``recommend`` or ``recommend_batch`` call counts once); ``*_prob``
+    ``recommend`` call counts once); ``*_prob``
     variants fire stochastically-but-reproducibly from a generator seeded
     with ``seed``.  Precedence per request: die > fail > slow (a dying
     worker never also sleeps).  The plan is picklable, so it crosses the
@@ -191,9 +191,8 @@ class ServeFaultPlan:
 class FaultyServeEngine:
     """Proxy over a serving engine that injects a :class:`ServeFaultPlan`.
 
-    Every attribute other than ``recommend`` / ``recommend_batch`` forwards
-    to the wrapped engine, so the proxy drops into the cluster worker (and
-    the :class:`~repro.serve.batcher.MicroBatcher`) unchanged.
+    Every attribute other than ``recommend`` forwards to the wrapped
+    engine, so the proxy drops into the cluster worker unchanged.
     """
 
     def __init__(self, engine, plan: ServeFaultPlan):
@@ -234,8 +233,3 @@ class FaultyServeEngine:
         """Forward to the engine after applying the plan."""
         self._inject()
         return self._engine.recommend(*args, **kwargs)
-
-    def recommend_batch(self, requests):
-        """Forward to the engine after applying the plan (counts once)."""
-        self._inject()
-        return self._engine.recommend_batch(requests)

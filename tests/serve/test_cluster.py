@@ -252,6 +252,24 @@ class TestClusterServing:
         with pytest.raises(ValueError, match="deadline_s"):
             cluster.recommend(0, k=3, deadline_s=0.0)
 
+    def test_k_below_one_rejected_before_admission(self, cluster):
+        # k=0 used to be admitted and answered with the whole catalogue
+        # (pickled back over the pipe); it must fail before brownout or
+        # admission, so nothing reaches a queue or the fallback.
+        before = cluster.stats()["router"]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                cluster.recommend(0, k=k)
+        cluster.set_brownout(True)
+        try:
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                cluster.recommend(0, k=0)
+        finally:
+            cluster.set_brownout(False)
+        after = cluster.stats()["router"]
+        assert after["admitted"] == before["admitted"]
+        assert after["degraded"] == before["degraded"]
+
 
 class TestClusterSwap:
     def test_swap_rolls_all_workers(self, artifact_path, tiny_dataset,

@@ -50,6 +50,13 @@ class TestTopK:
     def test_recommend_deterministic(self, engine):
         assert engine.recommend(2, k=8) == engine.recommend(2, k=8)
 
+    def test_k_below_one_rejected(self, engine):
+        # argpartition(scores, -0)[-0:] is the whole array: k=0 used to
+        # return every unseen item instead of failing.
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                engine.recommend(0, k=k)
+
 
 class TestStateCache:
     def test_lru_eviction(self, frozen_model):
@@ -73,12 +80,12 @@ class TestStateCache:
 
     def test_observe_invalidates_state(self, engine):
         engine.recommend(0, k=3)
-        cached_before = engine._states[0].copy()
+        cached_before = engine._states[0][0].copy()
         new_item = engine.recommend(0, k=1)[0][0]
         engine.observe(0, new_item)
         assert 0 not in engine._states
         engine.recommend(0, k=3)
-        assert not np.array_equal(engine._states[0], cached_before)
+        assert not np.array_equal(engine._states[0][0], cached_before)
         assert engine.history(0)[-1] == new_item
 
     def test_set_history_replaces_and_invalidates(self, engine):
@@ -86,21 +93,6 @@ class TestStateCache:
         engine.set_history(5, [1, 2, 3])
         assert 5 not in engine._states
         assert engine.history(5) == [1, 2, 3]
-
-    def test_batch_results_match_sequential(self, engine):
-        users = [0, 1, 2, 3]
-        sequential = [engine.recommend(user, k=5) for user in users]
-        # States are now cached, so the batch path shares the exact floats.
-        batch = engine.recommend_batch([(user, 5) for user in users])
-        assert batch == sequential
-
-    def test_batch_refreshes_stale_users_in_one_pass(self, engine):
-        users = [10, 11, 12]
-        for user in users:
-            engine._states.pop(user, None)
-        results = engine.recommend_batch([(user, 4) for user in users])
-        assert [len(r) for r in results] == [4, 4, 4]
-        assert all(user in engine._states for user in users)
 
 
 class TestTelemetry:
@@ -167,7 +159,8 @@ class TestThreadSafety:
                             user,
                             int(rng.integers(1, frozen_model.num_items + 1)))
                     elif op < 0.5:
-                        engine.recommend_batch([(user, 3), ((user + 1) % num_users, 3)])
+                        engine.recommend((user + 1) % num_users, k=3,
+                                         filter_seen=False)
                     else:
                         results = engine.recommend(user, k=3)
                         assert len(results) == 3

@@ -100,7 +100,6 @@ class TestZeroGraphNodes:
         before = graph_nodes()
         engine.recommend(1, k=5)   # cold: full forward
         engine.recommend(1, k=5)   # warm: cached state
-        engine.recommend_batch([(2, 5), (3, 5)])
         assert graph_nodes() - before == 0
 
     def test_engine_score_allocates_no_graph_nodes(self, engine, rng):

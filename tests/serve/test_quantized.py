@@ -3,11 +3,11 @@
 Three layers of guarantees:
 
 - the per-channel codec round-trips within its theoretical step size;
-- a :class:`~repro.serve.QuantizedEngine` agrees with the exact engine's
-  top-10 on at least 80% of items per request (in practice overlap is
-  ~99%; the floor leaves room for tie shuffles);
+- an engine over the int8 artifact agrees with the exact model's engine
+  on at least 80% of each top-10 (in practice overlap is ~99%; the floor
+  leaves room for tie shuffles);
 - a quantized artifact survives the full production path: transparent
-  ``load_artifact`` decode, ``engine_for_artifact`` dispatch, and a
+  ``load_artifact`` decode, serving by the one engine class, and a
   canary-validated :meth:`~repro.serve.ServingCluster.swap` onto a live
   cluster.
 """
@@ -21,19 +21,16 @@ from repro.core.config import ISRecConfig
 from repro.core.isrec import ISRec
 from repro.serve import (
     ClusterConfig,
-    QuantizedEngine,
     RecommendationEngine,
     ServingCluster,
     dequantize,
-    engine_for_artifact,
     export_artifact,
     load_artifact,
     quantize_per_channel,
-    read_quantization,
 )
 from repro.utils import set_seed
 
-#: Minimum per-request fraction of the exact top-10 a quantized engine
+#: Minimum per-request fraction of the exact top-10 an int8-artifact engine
 #: must reproduce (documented in docs/performance.md).
 MIN_TOPK_OVERLAP = 0.8
 
@@ -86,8 +83,8 @@ class TestQuantizedEngine:
     def test_topk_overlap_vs_exact(self, frozen_model, quantized_artifact,
                                    tiny_split):
         exact = RecommendationEngine(frozen_model, cache_size=64)
-        quant = engine_for_artifact(quantized_artifact, cache_size=64)
-        assert isinstance(quant, QuantizedEngine)
+        quant = RecommendationEngine(load_artifact(quantized_artifact),
+                                     cache_size=64)
         overlaps = []
         for user in range(tiny_split.num_users):
             history = np.asarray(tiny_split.test_input(user))
@@ -100,7 +97,7 @@ class TestQuantizedEngine:
         assert min(overlaps) >= MIN_TOPK_OVERLAP, overlaps
 
     def test_scores_descending_and_finite(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
+        engine = RecommendationEngine(load_artifact(quantized_artifact))
         engine.set_history(0, [1, 2, 3])
         results = engine.recommend(0, k=10)
         scores = [score for _item, score in results]
@@ -109,27 +106,10 @@ class TestQuantizedEngine:
         assert all(item != 0 for item, _score in results)
 
     def test_filter_seen(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
+        engine = RecommendationEngine(load_artifact(quantized_artifact))
         engine.set_history(5, [1, 2, 3])
         items = {item for item, _score in engine.recommend(5, k=10)}
         assert not items & {1, 2, 3}
-
-    def test_state_cache_is_half_precision(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
-        engine.set_history(7, [4, 5])
-        engine.recommend(7, k=5)
-        assert engine._states[7].dtype == np.float16
-
-    def test_quantization_info(self, quantized_artifact):
-        engine = engine_for_artifact(quantized_artifact)
-        info = engine.quantization_info()
-        assert info["scheme"] == "int8"
-        assert info["compression"] > 3.0
-
-    def test_float_table_rejected(self, frozen_model):
-        weights = frozen_model.item_embedding.weight.data
-        with pytest.raises(TypeError, match="int8"):
-            QuantizedEngine(frozen_model, weights, np.ones(len(weights)))
 
 
 class TestArtifactRoundTrip:
@@ -147,21 +127,9 @@ class TestArtifactRoundTrip:
         scale = float(np.abs(exact).max())
         np.testing.assert_allclose(got, exact, atol=scale / 127.0)
 
-    def test_read_quantization_payloads(self, quantized_artifact, artifact_path):
-        payloads = read_quantization(quantized_artifact)
-        assert any(name.endswith("item_embedding.weight") for name in payloads)
-        q, scales = next(iter(payloads.values()))
-        assert q.dtype == np.int8
-        assert scales.dtype == np.float32
-        assert read_quantization(artifact_path) == {}
-
     def test_unknown_scheme_rejected(self, frozen_model, tmp_path):
         with pytest.raises(ValueError, match="unknown quantization scheme"):
             export_artifact(frozen_model, tmp_path / "bad.npz", quantize="int4")
-
-    def test_plain_artifact_gets_plain_engine(self, artifact_path):
-        engine = engine_for_artifact(artifact_path)
-        assert type(engine) is RecommendationEngine
 
 
 class TestClusterSwap:
