@@ -2,9 +2,8 @@
 
 Exercises every claim of ``repro/utils/bench_backends.py`` (see
 ``docs/performance.md``): the float32-vs-float64 fused train step, the
-int8-quantized artifact served next to the exact one (warm latency,
-top-10 overlap, ranking parity, size) with the committed
-``BENCH_serve.json`` reference, and the GEMV dtype ladder.  The workload
+int8-quantized artifact served next to the exact one (top-10 overlap,
+ranking parity, size), and the GEMV dtype ladder.  The workload
 follows ``REPRO_BENCH``: ``smoke`` runs miniature shapes as a plumbing
 check; ``standard``/``full`` run the default ISRec-sized shapes recorded
 in the committed ``BENCH_backends.json``.
@@ -32,8 +31,7 @@ RUNS = {
 def test_backend_bench_records_baseline():
     run = RUNS[preset_name()]
     results = bench_backends.run_backend_bench(
-        preset=run["preset"], repeats=run["repeats"],
-        reference_path=REPO_ROOT / "BENCH_serve.json")
+        preset=run["preset"], repeats=run["repeats"])
     out_path = REPO_ROOT / "BENCH_backends.json"
     bench_backends.write_bench(results, str(out_path))
     emit("Backend benchmark (BENCH_backends.json)",

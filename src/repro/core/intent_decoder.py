@@ -26,6 +26,4 @@ class IntentDecoder(Module):
 
     def forward(self, next_features: Tensor, next_intention: Tensor) -> Tensor:
         """Map ``(B, T, K, d')`` features + ``(B, T, K)`` mask to ``(B, T, d)``."""
-        decoded = self.decoder_bank.forward_per_bank(next_features)  # (B, T, K, d)
-        weighted = decoded * next_intention.reshape(*next_intention.shape, 1)
-        return weighted.sum(axis=-2)
+        return self.decoder_bank.decode(next_features, next_intention)

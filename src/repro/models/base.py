@@ -113,6 +113,16 @@ class SequenceRecommender(Module, Recommender):
         """Hidden state at every position, ``(batch, T, dim)``."""
         raise NotImplementedError
 
+    def last_output(self, inputs: np.ndarray) -> Tensor:
+        """Hidden state at the final position, ``(batch, dim)``.
+
+        Scoring, serving and the contrastive anchors read only this row.
+        The default slices :meth:`sequence_output`; a model whose
+        per-position work after the encoder is costly (ISRec's intent head)
+        overrides it to do that work at the final position alone.
+        """
+        return self.sequence_output(inputs)[:, -1]
+
     # ------------------------------------------------------------------
     # Serving export protocol (repro.serve)
     # ------------------------------------------------------------------
@@ -223,8 +233,8 @@ class SequenceRecommender(Module, Recommender):
             raise RuntimeError(
                 "contrastive loss is disarmed; call fit() (or "
                 "configure_contrastive) with contrastive_weight > 0 first")
-        anchors = self.sequence_output(self._crop_view(inputs))[:, -1, :]
-        positives = self.sequence_output(self._crop_view(inputs))[:, -1, :]
+        anchors = self.last_output(self._crop_view(inputs))
+        positives = self.last_output(self._crop_view(inputs))
         return F.info_nce(anchors, positives,
                           temperature=self._contrastive_temperature)
 
@@ -287,8 +297,7 @@ class SequenceRecommender(Module, Recommender):
               candidates: np.ndarray) -> np.ndarray:
         """Score candidates as dot products with the final state (Eq. 12)."""
         with no_grad():
-            states = self.sequence_output(inputs)
-            last = states[:, -1, :]  # (batch, dim)
+            last = self.last_output(inputs)  # (batch, dim)
             embeddings = self.item_embedding(candidates)  # (batch, C, dim)
             scores = (embeddings @ last.reshape(last.shape[0], last.shape[1], 1))
         return scores.data[:, :, 0].astype(np.float64)

@@ -8,6 +8,7 @@ from repro.nn.activation import ReLU
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear, LinearBank
 from repro.nn.module import Module, ModuleList
+from repro.tensor import fused
 from repro.tensor.tensor import Tensor
 
 
@@ -48,9 +49,9 @@ class ConceptMLPBank(Module):
     """``K`` independent two-layer MLPs sharing an input (Eq. 8) or reading
     per-concept slices (Eq. 11).
 
-    Forward mode ``"broadcast"`` maps ``(..., in)`` to ``(..., K, hidden)``
-    then to ``(..., K, out)``; mode ``"per_bank"`` maps ``(..., K, in)`` to
-    ``(..., K, out)`` with bank ``k`` consuming slice ``k``.
+    :meth:`forward` maps ``(..., in)`` to ``(..., K, hidden)`` then to
+    ``(..., K, out)``; :meth:`decode` maps ``(..., K, in)`` slices and a
+    ``(..., K)`` mask to their masked sum ``(..., out)`` (Eq. 11).
     """
 
     def __init__(self, num_banks: int, in_features: int, out_features: int,
@@ -72,9 +73,14 @@ class ConceptMLPBank(Module):
             out = self.second.forward_per_bank(out.relu())
         return out
 
-    def forward_per_bank(self, z: Tensor) -> Tensor:
-        """Per-bank mode: bank ``k`` reads ``z[..., k, :]``."""
-        out = self.first.forward_per_bank(z)
+    def decode(self, z: Tensor, mask: Tensor) -> Tensor:
+        """``sum_k mask_k MLP_k(z_k)``: bank ``k`` reads ``z[..., k, :]``.
+
+        The last layer and the masked sum run as one GEMM
+        (:func:`repro.tensor.fused.intent_decode`), so the ``(..., K, out)``
+        per-bank outputs are never built.
+        """
+        head = self.first
         if self.second is not None:
-            out = self.second.forward_per_bank(out.relu())
-        return out
+            z, head = self.first.forward_per_bank(z).relu(), self.second
+        return fused.intent_decode(z, mask, head.weight, head.bias)

@@ -47,6 +47,21 @@ from repro.models.base import SequenceRecommender
 from repro.tensor.tensor import inference_mode
 
 
+def checked_items(items, num_items: int) -> list[int]:
+    """``items`` as a list of ids, rejecting any outside ``1..num_items``.
+
+    Called before a history is touched: an out-of-range id would fail every
+    later forward for that user (or, if negative, silently index from the
+    end of the item table).
+    """
+    ids = np.asarray(items).ravel().astype(np.int64)
+    outside = ids[(ids < 1) | (ids > num_items)]
+    if outside.size:
+        raise ValueError(f"item ids must lie in 1..{num_items}, got "
+                         f"{outside[:5].tolist()}")
+    return ids.tolist()
+
+
 class RecommendationEngine:
     """Serve exact top-K recommendations from a frozen model.
 
@@ -99,16 +114,25 @@ class RecommendationEngine:
         self._states.pop(user, None)
 
     def set_history(self, user: int, items) -> None:
-        """Replace ``user``'s interaction history (invalidates the state)."""
+        """Replace ``user``'s interaction history (invalidates the state).
+
+        Raises :class:`ValueError`, changing nothing, if an id lies outside
+        ``1..num_items``.
+        """
         user = int(user)
-        history = [int(item) for item in np.asarray(items).ravel()]
+        history = checked_items(items, self.model.num_items)
         with self._lock:
             self._histories[user] = history
             self._invalidate_user(user)
 
     def observe(self, user: int, item: int) -> None:
-        """Append one new interaction (invalidates the cached state)."""
-        user, item = int(user), int(item)
+        """Append one new interaction (invalidates the cached state).
+
+        Raises :class:`ValueError`, changing nothing, if ``item`` lies
+        outside ``1..num_items``.
+        """
+        user = int(user)
+        [item] = checked_items([item], self.model.num_items)
         with self._lock:
             self._histories.setdefault(user, []).append(item)
             self._invalidate_user(user)
@@ -142,10 +166,10 @@ class RecommendationEngine:
             return entry
         history = np.asarray(self._histories.get(user, []), dtype=np.int64)
         with inference_mode():
-            states = self.model.sequence_output(pad_left([history], self.max_len))
-        # Explicit copy: the row is a *view* into the forward buffer, and
-        # caching it would keep the whole (max_len, dim) output alive.
-        state = np.asarray(states.data)[0, -1, :].copy()
+            last = self.model.last_output(pad_left([history], self.max_len))
+        # Explicit copy: the row may be a *view* into a forward buffer, and
+        # caching it would keep that whole buffer alive.
+        state = np.asarray(last.data)[0].copy()
         seen = np.unique(history)
         seen = seen[(seen > 0) & (seen < len(self._scores))]
         entry = self._states[user] = (state, seen)

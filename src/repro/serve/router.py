@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.models.pop import PopRec
+from repro.serve.engine import checked_items
 
 
 # ----------------------------------------------------------------------
@@ -312,10 +313,11 @@ class Router:
 
         A replacement first retracts the previous history's popularity
         counts, so repeated syncs of the same user don't inflate the
-        degraded-mode ranking.
+        degraded-mode ranking.  Raises :class:`ValueError`, changing
+        nothing, if an id lies outside ``1..num_items``.
         """
         user = int(user)
-        history = [int(item) for item in np.asarray(items).ravel()]
+        history = checked_items(items, self.num_items)
         with self._lock:
             previous = self._histories.get(user)
             if previous:
@@ -330,9 +332,12 @@ class Router:
 
         Appends to the :class:`~repro.online.EventLog` (when wired) under
         the same lock, so the event stream's order always matches the
-        order interactions entered the authoritative store.
+        order interactions entered the authoritative store.  Raises
+        :class:`ValueError`, changing nothing, if ``item`` lies outside
+        ``1..num_items``.
         """
-        user, item = int(user), int(item)
+        user = int(user)
+        [item] = checked_items([item], self.num_items)
         with self._lock:
             history = self._histories.setdefault(user, [])
             history.append(item)

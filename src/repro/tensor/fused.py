@@ -26,6 +26,11 @@ The composed implementations stay in the tree as the reference; every fused
 kernel is gradcheck-verified against them (``tests/tensor/test_fused.py``).
 The module-level :func:`use_fused` switch lets callers (and the benchmark
 harness, ``repro.utils.bench``) select either path at runtime.
+
+ISRec's decoder has one path only: :func:`intent_decode` (Eq. 11's masked
+sum of per-concept reverse maps) runs every position as one GEMM.  Its
+composed reference lives in ``tests/tensor/test_intent_kernels.py``, not
+behind :func:`use_fused`.
 """
 
 from __future__ import annotations
@@ -335,3 +340,64 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             ))
 
     return _node(out, (x, gamma, beta), "fused_layer_norm", backward)
+
+
+# ----------------------------------------------------------------------
+# ISRec intent decoder (Eq. 11) as one GEMM
+# ----------------------------------------------------------------------
+def intent_decode(features: Tensor, intention: Tensor, weight: Tensor,
+                  bias: Tensor | None = None) -> Tensor:
+    """Eq. (11), ``x = sum_k m_k (z_k W_k + b_k)``, as one tape node.
+
+    ``features`` (``z``) is ``(..., K, in)``, ``intention`` (``m``)
+    ``(..., K)``, ``weight`` ``(K, in, out)`` and ``bias`` ``(K, out)``; a
+    bank of one map serves every concept.  With ``N`` positions the forward
+    is one ``(N, K·in) @ (K·in, out)`` GEMM plus ``m @ b``, and the backward
+    is ``∂W = (m⊙z)ᵀg``, ``∂b = mᵀg``, ``∂z = m⊙(gWᵀ)`` and
+    ``∂m = <z, gWᵀ> + g·bᵀ``.  Neither the per-concept outputs
+    ``(..., K, out)`` nor the per-position weight-gradient stack of a
+    broadcast ``(..., K, 1, in) @ (K, in, out)`` matmul is ever built.
+    ``tests/tensor/test_intent_kernels.py`` keeps that broadcast form as
+    the equivalence oracle.
+    """
+    z, m, w = features.data, intention.data, weight.data
+    *lead, concepts, width = z.shape
+    banks = w.shape[0]
+    if banks not in (1, concepts):
+        raise ValueError(
+            f"a bank of {banks} maps cannot read {concepts} concept slices")
+    out_width = w.shape[-1]
+    z = z.reshape(-1, concepts, width)
+    m = m.reshape(-1, concepts)
+    weighted = z * m[:, :, None]
+    mass = m
+    if banks == 1:
+        weighted = weighted.sum(axis=1, keepdims=True)
+        mass = m.sum(axis=1, keepdims=True)
+    weighted = weighted.reshape(len(z), banks * width)
+    flat_w = w.reshape(banks * width, out_width)
+    out = weighted @ flat_w
+    if bias is not None:
+        out = out + mass @ bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(-1, out_width)
+        if weight.requires_grad:
+            weight._accumulate((weighted.T @ g).reshape(w.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(mass.T @ g)
+        if not (features.requires_grad or intention.requires_grad):
+            return
+        back = (g @ flat_w.T).reshape(-1, banks, width)  # g Wᵀ per bank
+        if features.requires_grad:
+            features._accumulate((back * m[:, :, None]).reshape(features.shape))
+        if intention.requires_grad:
+            gm = (z * back).sum(axis=-1)
+            if bias is not None:
+                gm += g @ bias.data.T
+            intention._accumulate(gm.reshape(intention.shape))
+
+    parents = ((features, intention, weight) if bias is None
+               else (features, intention, weight, bias))
+    return _node(out.reshape(*lead, out_width), parents, "fused_intent_decode",
+                 backward)

@@ -8,11 +8,11 @@ Three sections, written to ``BENCH_backends.json`` at the repository root
   default.  The float64 run is the full-precision baseline; the recorded
   ``speedup_f32_vs_f64`` is the reduced-precision win (acceptance floor:
   2x).
-- ``serve`` — warm-request latency of one engine class over a float
-  artifact and over its int8-quantized twin (dequantized at load), with
-  identical histories, plus accuracy parity: mean/min top-10 overlap,
-  exact-top-1 agreement, and held-out HR@10 / NDCG@10 for both.  The
-  committed ``BENCH_serve.json`` warm reference is recorded beside them.
+- ``serve`` — a float artifact and its int8-quantized twin (dequantized
+  at load) served with identical histories: artifact sizes and accuracy
+  parity (mean/min top-10 overlap, exact-top-1 agreement, held-out
+  HR@10 / NDCG@10 for both).  Both load into the same engine class over
+  a table of the same dtype, so their request latency is not compared.
 - ``gemv_micro`` — the raw item-table GEMV at float64/float32/float16
   precision, so the dtype story behind the engine defaults is on the
   record.
@@ -21,7 +21,6 @@ Three sections, written to ``BENCH_backends.json`` at the repository root
 from __future__ import annotations
 
 import argparse
-import json
 import tempfile
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ from repro.tensor import fused, use_dtype
 from repro.utils.bench import environment_info, measure, write_bench
 from repro.utils.seeding import temp_seed
 
-SCHEMA = "bench_backends/v2"
+SCHEMA = "bench_backends/v3"
 
 #: ISRec/SASRec-sized training shapes plus the serving workload of
 #: ``repro.serve.bench`` (ML-1M-scale vocabulary, dim 64).
@@ -114,9 +113,8 @@ def _holdout_metrics(engine, holdouts: dict[int, int], k: int) -> dict:
     return {f"hr@{k}": float(np.mean(hits)), f"ndcg@{k}": float(np.mean(ndcg))}
 
 
-def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
-                          reference_path: str | Path | None = None) -> dict:
-    """Exact vs int8 artifacts: warm latency and ranking parity."""
+def bench_serve_quantized(shapes: dict) -> dict:
+    """Exact vs int8 artifacts: size and ranking parity."""
     from repro.serve import (RecommendationEngine, export_artifact,
                              load_artifact)
     from repro.serve.bench import build_model, seed_histories
@@ -145,26 +143,6 @@ def bench_serve_quantized(shapes: dict, repeats: int = 5, warmup: int = 2,
                 engine.set_history(user, history[:-1])
 
     results: dict = {"artifact_bytes": artifact_bytes}
-    for name, engine in engines.items():
-        engine.recommend(0, k=k)  # populate the user-0 state cache
-        results[f"warm_{name}"] = measure(
-            lambda engine=engine: engine.recommend(0, k=k),
-            repeats=max(repeats, 5), warmup=warmup)
-    results["speedup_dequant_vs_exact"] = (
-        results["warm_exact"]["wall_time_s"]
-        / max(results["warm_int8_dequant"]["wall_time_s"], 1e-12))
-
-    if reference_path is not None and Path(reference_path).exists():
-        with open(reference_path, encoding="utf-8") as handle:
-            reference = json.load(handle)
-        reference_warm = (reference.get("single_request", {})
-                          .get("serve_warm", {}).get("wall_time_s"))
-        if reference_warm:
-            results["reference_warm_s"] = reference_warm
-            results["speedup_dequant_vs_reference"] = (
-                reference_warm
-                / max(results["warm_int8_dequant"]["wall_time_s"], 1e-12))
-
     overlaps, agreement = [], []
     for user in sorted(holdouts):
         top_exact = [item for item, _score in
@@ -214,8 +192,7 @@ def bench_gemv_micro(shapes: dict, repeats: int = 5, warmup: int = 2) -> dict:
 # Top-level runner / CLI
 # ----------------------------------------------------------------------
 def run_backend_bench(shapes: dict | None = None, repeats: int = 5,
-                      warmup: int = 2, preset: str = "default",
-                      reference_path: str | Path | None = None) -> dict:
+                      warmup: int = 2, preset: str = "default") -> dict:
     """Run every section and return the full results document."""
     shapes = dict(shapes or PRESETS[preset])
     return {
@@ -226,8 +203,7 @@ def run_backend_bench(shapes: dict | None = None, repeats: int = 5,
         "repeats": repeats,
         "environment": environment_info(),
         "train_step": bench_train_step(shapes, repeats, warmup),
-        "serve": bench_serve_quantized(shapes, repeats, warmup,
-                                       reference_path=reference_path),
+        "serve": bench_serve_quantized(shapes),
         "gemv_micro": bench_gemv_micro(shapes, repeats, warmup),
     }
 
@@ -242,12 +218,6 @@ def format_summary(results: dict) -> str:
         f"  train step     float64 {train['float64']['wall_time_s'] * 1e3:8.2f} ms"
         f"   float32 {train['float32']['wall_time_s'] * 1e3:8.2f} ms"
         f"   speedup {train['speedup_f32_vs_f64']:.2f}x")
-    line = (f"  serve warm     exact {as_us(serve['warm_exact']['wall_time_s'])}"
-            f"   int8 {as_us(serve['warm_int8_dequant']['wall_time_s'])}"
-            f"   speedup {serve['speedup_dequant_vs_exact']:.2f}x")
-    if "reference_warm_s" in serve:
-        line += f"   vs committed ref {serve['speedup_dequant_vs_reference']:.2f}x"
-    lines.append(line)
     overlap = serve["topk_overlap"]["int8_dequant"]
     lines.append(f"  top-10 overlap mean {overlap['mean']:.3f}  min {overlap['min']:.3f}"
                  f"   artifact {serve['artifact_bytes']['int8'] / 1e3:.0f} kB"
@@ -267,13 +237,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="shape preset (default: %(default)s)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed repetitions per measurement (best-of)")
-    parser.add_argument("--reference", default="BENCH_serve.json",
-                        help="committed serve bench to compare the quantized "
-                             "warm path against (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    results = run_backend_bench(repeats=args.repeats, preset=args.preset,
-                                reference_path=args.reference)
+    results = run_backend_bench(repeats=args.repeats, preset=args.preset)
     write_bench(results, args.out)
     print(format_summary(results))
     print(f"wrote {args.out}")

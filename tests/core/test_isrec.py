@@ -11,6 +11,7 @@ from repro.core import (
     build_variant,
     variant_config,
 )
+from repro.tensor import no_grad, use_dtype
 from repro.train import TrainConfig
 from repro.utils import set_seed
 
@@ -101,6 +102,37 @@ class TestModel:
         detail = model.forward_detailed(np.ones((1, 8), dtype=np.int64))
         np.testing.assert_array_equal(detail["intention"].data.sum(axis=-1),
                                       tiny_dataset.num_concepts)
+
+
+class TestLastOutput:
+    """``last_output`` runs the intent head on the final position only and
+    must agree with the full pass's final row.  At B=1 the length-1 matrix
+    products take a different BLAS path (about 1 ULP apart); from B=7 up the
+    rows are bitwise equal."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6),
+                                             (np.float64, 1e-12)])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_matches_final_row_of_sequence_output(self, tiny_dataset, dtype,
+                                                  rtol, batch, variant):
+        with use_dtype(dtype):
+            set_seed(3)
+            model = build_variant(variant, tiny_dataset, max_len=12,
+                                  base_config=ISRecConfig(dim=16))
+        model.eval()
+        rng = np.random.default_rng(batch)
+        inputs = rng.integers(1, tiny_dataset.num_items + 1, size=(batch, 12))
+        inputs[::2, :4] = 0  # left padding on every other row
+        with no_grad():
+            last = model.last_output(inputs).data
+            full = model.sequence_output(inputs).data[:, -1]
+        assert last.shape == (batch, 16) and last.dtype == dtype
+        if batch == 1:
+            np.testing.assert_allclose(last, full, rtol=rtol,
+                                       atol=rtol * np.abs(full).max())
+        else:
+            np.testing.assert_array_equal(last, full)
 
 
 class TestVariants:

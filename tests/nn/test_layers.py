@@ -178,4 +178,4 @@ class TestConceptMLPBank:
     def test_two_layer(self):
         bank = nn.ConceptMLPBank(5, 8, 3, hidden=6)
         assert bank(randn((2, 8))).shape == (2, 5, 3)
-        assert bank.forward_per_bank(randn((2, 5, 8))).shape == (2, 5, 3)
+        assert bank.decode(randn((2, 5, 8)), randn((2, 5))).shape == (2, 3)

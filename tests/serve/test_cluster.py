@@ -167,6 +167,22 @@ class TestRouter:
         items = [item for item, _s in response.items]
         assert 2 not in items and 3 not in items
 
+    @pytest.mark.parametrize("bad", [11, -5, 0])
+    def test_out_of_range_item_rejected_before_any_change(self, bad):
+        router = Router(world=2, queue_limit=4, num_items=10)
+        router.set_history(0, [2, 3])
+        items = np.arange(1, 11)
+        counts = router.fallback.score(None, None, items).copy()
+        router.begin_reseed(0)
+        with pytest.raises(ValueError, match="item ids"):
+            router.observe(0, bad)
+        with pytest.raises(ValueError, match="item ids"):
+            router.set_history(0, [4, bad])
+        assert router.history(0) == [2, 3]
+        np.testing.assert_array_equal(
+            router.fallback.score(None, None, items), counts)
+        assert router.end_reseed(0) == []  # no re-seed was marked dirty
+
     def test_users_of_shard_partitions(self):
         router = Router(world=2, queue_limit=4, num_items=5)
         for user in range(6):
@@ -269,6 +285,22 @@ class TestClusterServing:
         after = cluster.stats()["router"]
         assert after["admitted"] == before["admitted"]
         assert after["degraded"] == before["degraded"]
+
+    def test_out_of_range_item_never_reaches_a_shard(self, cluster):
+        # observe(u, 10**6) used to be synced to the shard, whose forward
+        # then failed on every request: the user was answered degraded
+        # forever.  A negative id indexed from the end of the item table.
+        user = 25
+        history = cluster.router.history(user)
+        for bad in (10**6, -5):
+            with pytest.raises(ValueError, match="item ids"):
+                cluster.observe(user, bad)
+            with pytest.raises(ValueError, match="item ids"):
+                cluster.set_history(user, [1, bad])
+        assert cluster.router.history(user) == history
+        response = cluster.recommend(user, k=3)
+        assert not response.degraded
+        assert len(response.items) == 3
 
 
 class TestClusterSwap:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.online import EventLog
 from repro.serve import RecommendationEngine
 
 
@@ -130,6 +131,26 @@ class TestValidation:
     def test_bad_cache_size_rejected(self, frozen_model):
         with pytest.raises(ValueError, match="cache_size"):
             RecommendationEngine(frozen_model, cache_size=0)
+
+    @pytest.mark.parametrize("bad", [10**6, -5, 0])
+    def test_out_of_range_item_rejected_before_any_change(self, frozen_model,
+                                                          bad):
+        # An id past the table used to poison the user (every later forward
+        # raised IndexError); a negative one indexed from the table's end.
+        log = EventLog()
+        engine = RecommendationEngine(frozen_model, event_log=log)
+        engine.set_history(1, [3, 4])
+        expected = engine.recommend(1, k=3)
+        with pytest.raises(ValueError, match="item ids"):
+            engine.observe(1, bad)
+        with pytest.raises(ValueError, match="item ids"):
+            engine.set_history(1, [5, bad])
+        assert engine.history(1) == [3, 4]
+        assert log.latest_seq == 0
+        assert 1 in engine.cache_info()["users"]  # the state was not dropped
+        assert engine.recommend(1, k=3) == expected
+        engine.observe(1, frozen_model.num_items)  # the last valid id
+        assert engine.history(1) == [3, 4, frozen_model.num_items]
 
 
 class TestThreadSafety:

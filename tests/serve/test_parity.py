@@ -66,8 +66,8 @@ class TestRecommendParity:
         """Independent full-vocabulary reference for engine.recommend."""
         inputs = pad_left([np.asarray(history, dtype=np.int64)], model.max_len)
         with no_grad():
-            states = model.sequence_output(inputs)
-        last = np.ascontiguousarray(np.asarray(states.data)[0, -1, :])
+            state = model.last_output(inputs)
+        last = np.ascontiguousarray(np.asarray(state.data)[0])
         scores = (model.item_embedding.weight.data @ last).astype(np.float64)
         scores[0] = -np.inf
         if filter_seen:

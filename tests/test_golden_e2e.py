@@ -24,23 +24,26 @@ from repro import ISRec, ISRecConfig, RankingEvaluator, TrainConfig
 from repro.serve import RecommendationEngine, export_artifact, load_artifact
 from repro.utils import set_seed
 
-#: Captured from two identical runs of this exact recipe (bitwise-equal
-#: repeats) at the PR that introduced the serving subsystem.
-GOLDEN_LOSSES = [4.167086760203044, 4.130825837453206]
+#: Captured from bitwise-equal repeats of this exact recipe.  Re-pinned when
+#: the decoder moved to one fused kernel (``intent_decode``): one step from
+#: identical weights still gives a bitwise-equal loss, but the changed
+#: summation order flips top-lambda/Gumbel choices over two epochs.
+GOLDEN_LOSSES = [4.167027950286865, 4.130927085876465]
 GOLDEN_METRICS = {
-    "hr10": 0.3707865168539326,
-    "ndcg10": 0.1585445412717844,
-    "mrr": 0.12416179388152364,
+    "hr10": 0.3146067415730337,
+    "ndcg10": 0.1365146884326202,
+    "mrr": 0.11538037609677447,
 }
 #: Same recipe with the intent-contrastive auxiliary loss armed
-#: (``contrastive_weight=0.1``); captured from two bitwise-equal repeats at
-#: the PR that introduced the objective.  The loss includes the weighted
-#: InfoNCE term, hence the level shift vs ``GOLDEN_LOSSES``.
-GOLDEN_CONTRASTIVE_LOSSES = [4.446861743927002, 4.395038922627767]
+#: (``contrastive_weight=0.1``).  The loss includes the weighted InfoNCE
+#: term, hence the level shift vs ``GOLDEN_LOSSES``.  Re-pinned with the
+#: fused decoder and ``last_output`` anchors, whose Gumbel draws cover only
+#: the final position.
+GOLDEN_CONTRASTIVE_LOSSES = [4.440948009490967, 4.385411103566487]
 GOLDEN_CONTRASTIVE_METRICS = {
-    "hr10": 0.34831460674157305,
-    "ndcg10": 0.16460191177901892,
-    "mrr": 0.13812161573906967,
+    "hr10": 0.30337078651685395,
+    "ndcg10": 0.13345880822149273,
+    "mrr": 0.1134129192773214,
 }
 TOLERANCE = 1e-6
 
