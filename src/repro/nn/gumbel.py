@@ -23,18 +23,46 @@ def sample_gumbel(shape: tuple[int, ...], eps: float = 1e-10) -> np.ndarray:
     return -np.log(-np.log(uniform + eps) + eps)
 
 
+#: Mantissa bits a score keeps in the selection key of :func:`hard_top_k`.
+#: Scores within about ``2**-11`` of each other (relative) share a key, so a
+#: perturbation at float32 rounding scale, or float32 against float64,
+#: cannot reorder them.
+KEY_MANTISSA_BITS = 11
+
+
+def selection_key(scores: np.ndarray) -> np.ndarray:
+    """Unique int64 keys ordering ``scores`` along the last axis.
+
+    A key is the score's bit pattern (mapped so that integer order is float
+    order) with all but :data:`KEY_MANTISSA_BITS` mantissa bits dropped;
+    scores that then compare equal are ranked by position, the lowest index
+    first.  Every key in a row is distinct, so a top-``k`` by key is unique.
+    """
+    scores = np.asarray(scores)
+    if scores.dtype == np.float64:
+        bits = scores.view(np.int64)
+        bits = bits ^ ((bits >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
+        coarse = bits >> (52 - KEY_MANTISSA_BITS)
+    else:
+        bits = scores.astype(np.float32, copy=False).view(np.int32)
+        bits = bits ^ ((bits >> 31) & np.int32(0x7FFFFFFF))
+        coarse = (bits >> (23 - KEY_MANTISSA_BITS)).astype(np.int64)
+    width = scores.shape[-1]
+    return coarse * width + np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def hard_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Multi-hot indicator of the ``k`` largest entries along the last axis.
 
-    Mirrors the paper's operator ``g`` (§3.5): entry ``j`` is 1 iff
-    ``scores[..., j]`` is at least the ``k``-th largest value in its row.
+    Mirrors the paper's operator ``g`` (§3.5), which leaves ties undefined:
+    entries are ranked by :func:`selection_key`, so near-equal scores go to
+    the lowest index and rounding noise cannot flip the choice.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     k = min(k, scores.shape[-1])
-    # argpartition picks exactly k indices, breaking ties arbitrarily but
-    # deterministically, so each row always has exactly k ones.
-    top_indices = np.argpartition(-scores, k - 1, axis=-1)[..., :k]
+    # The keys are unique, so argpartition's choice is the exact top k.
+    top_indices = np.argpartition(-selection_key(scores), k - 1, axis=-1)[..., :k]
     hard = np.zeros_like(scores, dtype=np.float32)
     np.put_along_axis(hard, top_indices, 1.0, axis=-1)
     return hard
