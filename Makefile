@@ -24,8 +24,8 @@ test-parallel:    ## parallel subsystem: data-parallel trainer, prefetch, sweep 
 test-online:      ## online loop: event log, learner, shadow gate, observe parity, resume
 	pytest tests/online tests/serve/test_observe_parity.py tests/train/test_online_resume.py
 
-test-intent:      ## intent head and objectives: decoder kernel vs oracle, contrastive kernel, sessions, checkpoints, sweep, goldens
-	pytest tests/tensor/test_intent_kernels.py tests/tensor/test_fused_contrastive.py tests/data/test_sessions.py tests/eval/test_session_eval.py tests/train/test_contrastive_checkpoint.py tests/experiments/test_intent_objectives.py tests/test_golden_e2e.py
+test-intent:      ## intent head and objectives: decoder kernel vs oracle, top-lambda ties and node, selected-row training, GEMV reductions, contrastive kernel, sessions, checkpoints, sweep, goldens
+	pytest tests/tensor/test_intent_kernels.py tests/core/test_top_lambda.py tests/models/test_selected_rows.py tests/tensor/test_unbroadcast.py tests/tensor/test_fused_contrastive.py tests/data/test_sessions.py tests/eval/test_session_eval.py tests/train/test_contrastive_checkpoint.py tests/experiments/test_intent_objectives.py tests/test_golden_e2e.py
 
 test-graphs:      ## graph workloads: simulator graphs, KTUP/FM baselines, comparison sweep
 	pytest tests/data/test_graphs.py tests/models/test_graph_baselines.py tests/experiments/test_graph_comparison.py

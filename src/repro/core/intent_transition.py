@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.graph import GCN, LearnedAdjacencyGCN
-from repro.nn.gumbel import hard_top_k
 from repro.nn.mlp import ConceptMLPBank
 from repro.nn.module import Module
-from repro.tensor import functional as F
+from repro.tensor import fused
 from repro.tensor.tensor import Tensor
 
 
@@ -84,16 +83,12 @@ class StructuredIntentTransition(Module):
     def next_intention(self, next_features: Tensor) -> Tensor:
         """Top-``lambda`` concepts by feature norm (§3.5, operator ``g``).
 
-        Straight-through: forward pass is the exact hard multi-hot; the
-        gradient flows through a softmax over the norms.  ``F.softmax``
-        dispatches to the fused single-tape-node kernel
-        (:mod:`repro.tensor.fused`), so the relaxation adds one tape node
-        per step instead of four.
+        Straight-through: the forward pass is the exact hard multi-hot; the
+        gradient flows through a softmax over the norms.  Norm, ``1/tau``
+        scale, softmax and the straight-through output are one tape node
+        (:func:`repro.tensor.fused.norm_top_k`).
         """
-        norms = ((next_features * next_features).sum(axis=-1) + 1e-8).sqrt()  # (B, T, K)
-        soft = F.softmax(norms * (1.0 / self.tau), axis=-1)
-        hard = hard_top_k(norms.data, self.num_intents)
-        return soft + Tensor(hard - soft.data)
+        return fused.norm_top_k(next_features, self.num_intents, self.tau)
 
     def forward(self, states: Tensor, intention: Tensor) -> tuple[Tensor, Tensor]:
         """Full module: returns ``(Z_{t+1}, m_{t+1})``."""

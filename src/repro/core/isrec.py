@@ -143,20 +143,21 @@ class ISRec(SequenceRecommender):
     # Forward
     # ------------------------------------------------------------------
     def forward_detailed(self, inputs: np.ndarray, *,
-                         last_only: bool = False) -> dict[str, Tensor]:
+                         rows=None) -> dict[str, Tensor]:
         """Run the full pipeline and keep every intermediate (for Fig. 2).
 
         Returns a dict with keys ``states`` (``X``), and — when the intent
         modules are enabled — ``similarities``, ``intention`` (``m_t``),
         ``next_features`` (``Z_{t+1}``), ``next_intention`` (``m_{t+1}``),
-        and ``output`` (``x_{t+1}``).  With ``last_only`` the encoder still
-        reads the whole sequence, but every entry keeps the final position
-        alone (a length-1 time axis): extraction, transition and decoder
-        work per position, so the others need not run.
+        and ``output`` (``x_{t+1}``).  ``rows`` is an index into the
+        ``(batch, T)`` positions (a boolean mask, or ``(slice(None), -1)``
+        for the final position): the encoder still reads the whole
+        sequence, but every entry keeps the selected positions alone, since
+        extraction, transition and decoder work per position.
         """
         states = self.encoder(inputs)
-        if last_only:
-            states = states[:, -1:]
+        if rows is not None:
+            states = states[rows]
         if self.extractor is None:
             return {"states": states, "output": states}
         intention, similarities = self.extractor(states, self.encoder.concept_embedding)
@@ -172,15 +173,11 @@ class ISRec(SequenceRecommender):
             "output": output,
         }
 
-    def sequence_output(self, inputs: np.ndarray, *,
-                        last_only: bool = False) -> Tensor:
-        """``x_{t+1}`` at every position (the state that scores items).
+    def sequence_output(self, inputs: np.ndarray, *, rows=None) -> Tensor:
+        """``x_{t+1}`` at every position (the state that scores items), or
+        at the positions ``rows`` selects (see :meth:`forward_detailed`)."""
+        return self.forward_detailed(inputs, rows=rows)["output"]
 
-        ``last_only`` is :meth:`last_output`'s path: the output keeps only
-        the final position, ``(batch, 1, dim)``.
-        """
-        return self.forward_detailed(inputs, last_only=last_only)["output"]
-
-    def last_output(self, inputs: np.ndarray) -> Tensor:
-        """``x_{t+1}`` at the final position, with the intent head run there only."""
-        return self.sequence_output(inputs, last_only=True)[:, -1]
+    def output_at(self, inputs: np.ndarray, rows) -> Tensor:
+        """``x_{t+1}`` at ``rows``, with the intent head run there only."""
+        return self.sequence_output(inputs, rows=rows)

@@ -6,7 +6,7 @@ Two layers of abstraction:
   ``fit(dataset, split)`` and ``score(users, inputs, candidates)``.
 - :class:`SequenceRecommender` — shared machinery for neural next-item
   models (SASRec, GRU4Rec, Caser, ISRec, ...): next-item cross-entropy
-  training over every position (Eq. 13), candidate scoring through the item
+  training over the real positions (Eq. 13), candidate scoring through the item
   embedding (Eq. 12), and a `fit` that wires the generic
   :class:`~repro.train.Trainer` with validation-HR@10 early stopping.
 """
@@ -44,6 +44,10 @@ def validation_evaluator(dataset: InteractionDataset, split: LeaveOneOutSplit,
     return RankingEvaluator(split, dataset.num_items,
                             num_negatives=min(num_negatives, available),
                             seed=seed, popularity=dataset.item_popularity())
+
+
+#: ``rows`` selector of the final position for :meth:`SequenceRecommender.output_at`.
+LAST_POSITION = (slice(None), -1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -113,15 +117,23 @@ class SequenceRecommender(Module, Recommender):
         """Hidden state at every position, ``(batch, T, dim)``."""
         raise NotImplementedError
 
+    def output_at(self, inputs: np.ndarray, rows) -> Tensor:
+        """Hidden state at the positions ``rows`` selects from ``(batch, T)``.
+
+        ``rows`` is a boolean ``(batch, T)`` mask (the training loss reads
+        the non-padding positions, ``(n, dim)``) or ``LAST_POSITION``
+        (``(batch, dim)``).  The default indexes :meth:`sequence_output`; a
+        model whose per-position work after the encoder is costly (ISRec's
+        intent head) overrides it to do that work at ``rows`` alone.
+        """
+        return self.sequence_output(inputs)[rows]
+
     def last_output(self, inputs: np.ndarray) -> Tensor:
         """Hidden state at the final position, ``(batch, dim)``.
 
         Scoring, serving and the contrastive anchors read only this row.
-        The default slices :meth:`sequence_output`; a model whose
-        per-position work after the encoder is costly (ISRec's intent head)
-        overrides it to do that work at the final position alone.
         """
-        return self.sequence_output(inputs)[:, -1]
+        return self.output_at(inputs, LAST_POSITION)
 
     # ------------------------------------------------------------------
     # Serving export protocol (repro.serve)
@@ -167,24 +179,30 @@ class SequenceRecommender(Module, Recommender):
         return logits + suppress
 
     def training_loss(self, batch) -> Tensor:
-        """Next-item cross-entropy over every position (Eq. 13).
+        """Next-item cross-entropy over the real positions (Eq. 13).
 
-        On the fused path the padding-column ban of ``all_item_logits`` is
-        folded into the cross-entropy kernel (``suppress_index=0``), so the
-        whole ``(B, T, V)`` loss is one logsumexp forward and one
-        ``softmax - one_hot`` backward over the raw logits — no constant-add
-        temporary, no log-prob graph.  The composed reference path keeps the
-        explicit ``all_item_logits`` + ``F.cross_entropy`` pipeline.
+        Padding positions weigh 0 in Eq. (13), so the fused path computes
+        the output, the ``(n, V)`` logits and the loss at the ``n``
+        non-padding positions only (:meth:`output_at`); the mean is the
+        same.  The padding-column ban of ``all_item_logits`` is folded into
+        the cross-entropy kernel (``suppress_index=0``): one logsumexp
+        forward and one ``softmax - one_hot`` backward over the raw logits.
+        The composed reference path keeps the full ``(B, T, V)`` grid with
+        the explicit ``all_item_logits`` + ``F.cross_entropy`` pipeline.
         """
         _users, inputs, targets, mask = batch
-        states = self.sequence_output(inputs)
         if fused.fused_enabled():
             obs.record_kernel_dispatch("training_loss", True)
+            rows = np.asarray(mask) > 0
+            if not rows.any():
+                raise ValueError("cross_entropy mask excludes every position")
+            states = self.output_at(inputs, rows)
             logits = states @ self.item_embedding.weight.T
-            loss = fused.cross_entropy(logits, targets, mask, suppress_index=0)
+            loss = fused.cross_entropy(logits, np.asarray(targets)[rows],
+                                       suppress_index=0)
         else:
             obs.record_kernel_dispatch("training_loss", False)
-            logits = self.all_item_logits(states)
+            logits = self.all_item_logits(self.sequence_output(inputs))
             loss = F.cross_entropy(logits, targets, mask)
         if self._contrastive_weight > 0.0:
             loss = loss + self.contrastive_loss(inputs) * self._contrastive_weight

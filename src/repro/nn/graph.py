@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, default_dtype
 
 
 def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -84,15 +84,15 @@ class LearnedAdjacencyGCN(Module):
                 raise ValueError(
                     f"init_adjacency must be ({num_nodes}, {num_nodes}), got {prior.shape}"
                 )
-            logits = np.where(prior > 0, 1.75, -1.75).astype(np.float32)
+            logits = np.where(prior > 0, 1.75, -1.75).astype(default_dtype())
         else:
-            logits = np.zeros((num_nodes, num_nodes), dtype=np.float32)
+            logits = init.zeros((num_nodes, num_nodes))
         self.edge_logits = Parameter(logits)
         self.weights = ModuleList([
             _GCNWeight(dim, dim, activation=(i < num_layers - 1))
             for i in range(num_layers)
         ])
-        self._diag_mask = 1.0 - np.eye(num_nodes, dtype=np.float32)
+        self._diag_mask = 1.0 - np.eye(num_nodes, dtype=default_dtype())
 
     def adjacency(self) -> Tensor:
         """Differentiable dense adjacency in ``[0, 1]`` (zero diagonal)."""
@@ -100,7 +100,8 @@ class LearnedAdjacencyGCN(Module):
         return symmetric.sigmoid() * Tensor(self._diag_mask)
 
     def _normalized(self) -> Tensor:
-        dense = self.adjacency() + Tensor(np.eye(self.num_nodes, dtype=np.float32))
+        dense = self.adjacency() + Tensor(np.eye(self.num_nodes,
+                                                 dtype=self.edge_logits.dtype))
         degree = dense.sum(axis=1)
         inv_sqrt = (degree + 1e-8) ** -0.5
         return dense * inv_sqrt.reshape(-1, 1) * inv_sqrt.reshape(1, -1)

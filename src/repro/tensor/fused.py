@@ -30,7 +30,8 @@ harness, ``repro.utils.bench``) select either path at runtime.
 ISRec's decoder has one path only: :func:`intent_decode` (Eq. 11's masked
 sum of per-concept reverse maps) runs every position as one GEMM.  Its
 composed reference lives in ``tests/tensor/test_intent_kernels.py``, not
-behind :func:`use_fused`.
+behind :func:`use_fused`.  The same holds for the transition's top-lambda
+relaxation, :func:`norm_top_k` (oracle in ``tests/core/test_top_lambda.py``).
 """
 
 from __future__ import annotations
@@ -401,3 +402,42 @@ def intent_decode(features: Tensor, intention: Tensor, weight: Tensor,
                else (features, intention, weight, bias))
     return _node(out.reshape(*lead, out_width), parents, "fused_intent_decode",
                  backward)
+
+
+# ----------------------------------------------------------------------
+# ISRec's top-lambda relaxation (§3.5, operator g) as one node
+# ----------------------------------------------------------------------
+def norm_top_k(features: Tensor, k: int, tau: float = 1.0,
+               eps: float = 1e-8) -> Tensor:
+    """Straight-through top-``k`` of feature norms as one tape node.
+
+    ``features`` is ``(..., K, d')``.  With ``n = sqrt(sum_d z² + eps)``
+    over the last axis, the forward value is the hard multi-hot
+    ``hard_top_k(n, k)`` (:mod:`repro.nn.gumbel`) and the gradient is that
+    of ``softmax(n / tau)``: ``∂z = z ⊙ s⊙(g - <g, s>) / (tau·n)``.  The
+    squared norm is one GEMV over ``d'``.  The composed form (norm,
+    scale, softmax, ``soft + (hard - soft)``) is the oracle in
+    ``tests/core/test_top_lambda.py``.
+    """
+    from repro.nn.gumbel import hard_top_k  # repro.nn imports this module
+
+    z = features.data
+    width = z.shape[-1]
+    squares = np.square(z).reshape(-1, width) @ np.ones(width, dtype=z.dtype)
+    norms = np.sqrt(squares + eps).reshape(z.shape[:-1])
+    soft = norms * (1.0 / tau)
+    soft -= soft.max(axis=-1, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=-1, keepdims=True)
+    hard = hard_top_k(norms, k).astype(z.dtype, copy=False)
+
+    def backward(grad: np.ndarray) -> None:
+        concepts = grad.shape[-1]
+        g = grad.reshape(-1, concepts)
+        s = soft.reshape(-1, concepts)
+        inner = np.einsum("ij,ij->i", g, s)
+        scale = s * (g - inner[:, None])
+        scale /= norms.reshape(-1, concepts) * tau
+        features._accumulate(z * scale.reshape(norms.shape)[..., None])
+
+    return _node(hard, (features,), "fused_norm_top_k", backward)

@@ -1,10 +1,14 @@
-"""The top-lambda choice of the structured transition is stable under rounding.
+"""The structured transition's top-lambda operator ``g`` (§3.5).
 
 Concepts outside ``m_t`` all carry the same propagated GCN bias, so their
 feature norms tie exactly and the lambda-th and (lambda+1)-th norms are
 often equal.  :func:`repro.nn.gumbel.hard_top_k` ranks by
 :func:`~repro.nn.gumbel.selection_key`, so a perturbation at float32
 rounding scale must leave ``m_{t+1}`` unchanged at every position.
+
+:func:`repro.tensor.fused.norm_top_k` runs norm, ``1/tau`` scale, softmax
+and the straight-through output as one tape node; ``composed_top_k`` below,
+the form it replaced, is its oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import pytest
 from repro import ISRec, ISRecConfig, TrainConfig
 from repro.data.batching import next_item_batches
 from repro.nn.gumbel import hard_top_k, selection_key
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, functional as F, fused, graph_nodes, no_grad
 from repro.utils import set_seed
 
 
@@ -72,3 +76,42 @@ def test_rounding_scale_perturbation_keeps_next_intention(trained_transition):
             perturbed = model.transition.next_intention(
                 Tensor(features * scale.astype(features.dtype)))
         np.testing.assert_array_equal(perturbed.data, intention)
+
+
+def composed_top_k(features: Tensor, k: int, tau: float) -> Tensor:
+    norms = ((features * features).sum(axis=-1) + 1e-8).sqrt()
+    soft = F.softmax(norms * (1.0 / tau), axis=-1)
+    hard = hard_top_k(norms.data, k)
+    return soft + Tensor(hard - soft.data)
+
+
+class TestNormTopKNode:
+    @pytest.mark.parametrize("shape", [(2, 3, 7, 4), (11, 7, 4)])
+    @pytest.mark.parametrize("tau", [1.0, 0.3])
+    def test_matches_composed_float64(self, rng, shape, tau):
+        data = rng.standard_normal(shape)
+        probe = rng.standard_normal(shape[:-1])
+        runs = []
+        for path in (fused.norm_top_k, composed_top_k):
+            features = Tensor(data.copy(), requires_grad=True)
+            out = path(features, 3, tau)
+            (out * Tensor(probe)).sum().backward()
+            runs.append((out.data, features.grad))
+        (out, grad), (oracle_out, oracle_grad) = runs
+        np.testing.assert_array_equal(out, np.round(oracle_out))
+        np.testing.assert_array_equal(out.sum(axis=-1), 3.0)
+        np.testing.assert_allclose(grad, oracle_grad, rtol=0,
+                                   atol=1e-12 * np.abs(oracle_grad).max())
+
+    def test_is_one_tape_node(self, rng):
+        features = Tensor(rng.standard_normal((4, 7, 3)), requires_grad=True)
+        before = graph_nodes()
+        fused.norm_top_k(features, 2)
+        assert graph_nodes() - before == 1
+
+    def test_float32_stays_float32(self, rng):
+        features = Tensor(rng.standard_normal((4, 7, 3)).astype(np.float32),
+                          requires_grad=True)
+        out = fused.norm_top_k(features, 2)
+        out.sum().backward()
+        assert out.dtype == np.float32 and features.grad.dtype == np.float32

@@ -54,3 +54,26 @@ class TestEquationTen:
         out = layer(Tensor(x)).data
         manual = x @ layer.weight.data + layer.bias.data
         np.testing.assert_allclose(out, manual, rtol=1e-5, atol=1e-6)
+
+
+class TestLearnedGraphDtype:
+    def test_learned_graph_isrec_is_float64_in_a_float64_scope(self, tiny_dataset,
+                                                                tiny_split):
+        from repro import ISRec, ISRecConfig
+        from repro.data.batching import next_item_batches
+        from repro.tensor import use_dtype
+
+        with use_dtype(np.float64):
+            model = ISRec.from_dataset(
+                tiny_dataset, max_len=12,
+                config=ISRecConfig(dim=16, graph_mode="learned"))
+            for prior in (None, tiny_dataset.concept_space.adjacency):
+                gcn = nn.LearnedAdjacencyGCN(tiny_dataset.num_concepts, 4,
+                                             init_adjacency=prior)
+                assert gcn.edge_logits.dtype == np.float64
+        batch = next(next_item_batches(tiny_split.train_sequences(), 12, 32,
+                                       np.random.default_rng(0)))
+        model.training_loss(batch).backward()
+        for name, param in model.named_parameters():
+            assert param.data.dtype == np.float64, name
+            assert param.grad is not None and param.grad.dtype == np.float64, name

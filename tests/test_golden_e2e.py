@@ -25,25 +25,27 @@ from repro.serve import RecommendationEngine, export_artifact, load_artifact
 from repro.utils import set_seed
 
 #: Captured from bitwise-equal repeats of this exact recipe.  Re-pinned when
-#: the top-lambda choice moved to a key that rounding cannot reorder
-#: (:func:`repro.nn.gumbel.selection_key`); with it, the broadcast decoder
-#: oracle of ``tests/tensor/test_intent_kernels.py`` reproduces these values.
-GOLDEN_LOSSES = [4.1675944328308105, 4.129627227783203]
+#: training moved to the non-padding positions only: the Gumbel noise of
+#: ``m_t`` is now drawn for those rows alone, which changes the random
+#: stream.  Without Gumbel noise the same recipe is unchanged by that move
+#: (losses within 2e-7, metrics bitwise), because the top-lambda choice is
+#: ranked by a key that rounding cannot reorder
+#: (:func:`repro.nn.gumbel.selection_key`).
+GOLDEN_LOSSES = [4.171533584594727, 4.130359013875325]
 GOLDEN_METRICS = {
-    "hr10": 0.29213483146067415,
-    "ndcg10": 0.1359518800308619,
-    "mrr": 0.12210930090520856,
+    "hr10": 0.2808988764044944,
+    "ndcg10": 0.13199867478249264,
+    "mrr": 0.12149198758356274,
 }
 #: Same recipe with the intent-contrastive auxiliary loss armed
 #: (``contrastive_weight=0.1``).  The loss includes the weighted InfoNCE
-#: term, hence the level shift vs ``GOLDEN_LOSSES``.  Re-pinned with the
-#: fused decoder and ``last_output`` anchors, whose Gumbel draws cover only
-#: the final position.
-GOLDEN_CONTRASTIVE_LOSSES = [4.44284454981486, 4.384351412455241]
+#: term, hence the level shift vs ``GOLDEN_LOSSES``.  Re-pinned with
+#: ``GOLDEN_LOSSES``, for the same reason.
+GOLDEN_CONTRASTIVE_LOSSES = [4.448519070943196, 4.364985942840576]
 GOLDEN_CONTRASTIVE_METRICS = {
-    "hr10": 0.24719101123595505,
-    "ndcg10": 0.12415549413581832,
-    "mrr": 0.1207863807876938,
+    "hr10": 0.38202247191011235,
+    "ndcg10": 0.15750845689742432,
+    "mrr": 0.12055850150963894,
 }
 TOLERANCE = 1e-6
 
