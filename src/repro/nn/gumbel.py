@@ -31,24 +31,28 @@ KEY_MANTISSA_BITS = 11
 
 
 def selection_key(scores: np.ndarray) -> np.ndarray:
-    """Unique int64 keys ordering ``scores`` along the last axis.
+    """Unique integer keys ordering ``scores`` along the last axis.
 
     A key is the score's bit pattern (mapped so that integer order is float
-    order) with all but :data:`KEY_MANTISSA_BITS` mantissa bits dropped;
-    scores that then compare equal are ranked by position, the lowest index
-    first.  Every key in a row is distinct, so a top-``k`` by key is unique.
+    order) with all but :data:`KEY_MANTISSA_BITS` mantissa bits replaced by
+    the reversed position: scores that share their leading bits are ranked
+    by position, the lowest index first.  Every key in a row is distinct,
+    so a top-``k`` by key is unique.  Rows wider than the dropped bits can
+    number are keyed in float64, which keeps the same mantissa bits.
     """
     scores = np.asarray(scores)
-    if scores.dtype == np.float64:
-        bits = scores.view(np.int64)
-        bits = bits ^ ((bits >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
-        coarse = bits >> (52 - KEY_MANTISSA_BITS)
-    else:
-        bits = scores.astype(np.float32, copy=False).view(np.int32)
-        bits = bits ^ ((bits >> 31) & np.int32(0x7FFFFFFF))
-        coarse = (bits >> (23 - KEY_MANTISSA_BITS)).astype(np.int64)
     width = scores.shape[-1]
-    return coarse * width + np.arange(width - 1, -1, -1, dtype=np.int64)
+    exact = (np.float32 if scores.dtype != np.float64 and width <= 1 << 12
+             else np.float64)
+    info = np.finfo(exact)
+    itype = np.int32 if exact is np.float32 else np.int64
+    key = scores.astype(exact).view(itype)
+    sign = key >> (info.bits - 1)
+    sign &= np.iinfo(itype).max
+    key ^= sign
+    key &= itype(-(1 << (info.nmant - KEY_MANTISSA_BITS)))
+    key |= np.arange(width - 1, -1, -1, dtype=itype)
+    return key
 
 
 def hard_top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -60,12 +64,11 @@ def hard_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    k = min(k, scores.shape[-1])
-    # The keys are unique, so argpartition's choice is the exact top k.
-    top_indices = np.argpartition(-selection_key(scores), k - 1, axis=-1)[..., :k]
-    hard = np.zeros_like(scores, dtype=np.float32)
-    np.put_along_axis(hard, top_indices, 1.0, axis=-1)
-    return hard
+    keys = selection_key(scores)
+    cut = max(keys.shape[-1] - k, 0)
+    # The keys are unique, so exactly k of them reach the k-th largest.
+    kth = np.partition(keys, cut, axis=-1)[..., cut:cut + 1]
+    return (keys >= kth).astype(np.float32)
 
 
 def gumbel_softmax(logits: Tensor, tau: float = 1.0, noise: bool = True) -> Tensor:

@@ -39,8 +39,10 @@ class TestSelectionKey:
         np.testing.assert_array_equal(np.argsort(-keys, axis=-1)[:, :3],
                                       np.argsort(-scores, axis=-1)[:, :3])
 
-    def test_float32_and_float64_choose_alike(self):
-        scores = np.abs(np.random.default_rng(1).normal(size=(200, 30)))
+    @pytest.mark.parametrize("width", [30, 5000])
+    def test_float32_and_float64_choose_alike(self, width):
+        scores = np.abs(np.random.default_rng(1).normal(size=(20, width)))
+        scores[:, 1::2] = scores[:, ::2]  # exact ties, decided by index
         np.testing.assert_array_equal(hard_top_k(scores, 5),
                                       hard_top_k(scores.astype(np.float32), 5))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor
 from repro.tensor.tensor import _unbroadcast
 
 
@@ -60,13 +59,3 @@ def test_matches_sum_reference_float64(case, rng):
             atol=1e-12 * max(float(np.abs(expected).max()), 1.0),
             err_msg=layout)
 
-
-def test_bias_gradient_through_the_tape(rng):
-    x = Tensor(rng.standard_normal((4, 6, 3)))
-    bias = Tensor(rng.standard_normal(3), requires_grad=True)
-    scale = Tensor(rng.standard_normal((4, 6, 1)), requires_grad=True)
-    ((x + bias) * scale).sum().backward()
-    np.testing.assert_allclose(bias.grad, np.broadcast_to(scale.data, x.shape)
-                               .sum(axis=(0, 1)), rtol=1e-12)
-    np.testing.assert_allclose(scale.grad, (x.data + bias.data).sum(
-        axis=-1, keepdims=True), rtol=1e-12)
