@@ -14,12 +14,17 @@ from repro.tensor.tensor import Tensor, default_dtype
 
 
 def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric normalisation ``D^-1/2 (A + I) D^-1/2`` of Eq. (10)."""
-    a = np.asarray(adjacency, dtype=np.float32)
+    """Symmetric normalisation ``D^-1/2 (A + I) D^-1/2`` of Eq. (10).
+
+    Computed in :func:`default_dtype`, so a float64 model convolves with a
+    float64 adjacency.
+    """
+    dtype = default_dtype()
+    a = np.asarray(adjacency, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if add_self_loops:
-        a = a + np.eye(a.shape[0], dtype=np.float32)
+        a = a + np.eye(a.shape[0], dtype=dtype)
     degree = a.sum(axis=1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0

@@ -11,7 +11,8 @@ from repro.core import (
     build_variant,
     variant_config,
 )
-from repro.tensor import no_grad, use_dtype
+from repro.nn.module import Module, Parameter
+from repro.tensor import Tensor, no_grad, use_dtype
 from repro.train import TrainConfig
 from repro.utils import set_seed
 
@@ -102,6 +103,35 @@ class TestModel:
         detail = model.forward_detailed(np.ones((1, 8), dtype=np.int64))
         np.testing.assert_array_equal(detail["intention"].data.sum(axis=-1),
                                       tiny_dataset.num_concepts)
+
+
+def _constant_tensors(module: Module, prefix: str = ""):
+    """``(name, tensor)`` of every non-parameter tensor a module holds."""
+    for name, value in vars(module).items():
+        if isinstance(value, Tensor) and not isinstance(value, Parameter):
+            yield prefix + name, value
+    for name, child in module._modules.items():
+        yield from _constant_tensors(child, f"{prefix}{name}.")
+
+
+class TestFloat64Model:
+    """A model built under ``use_dtype(float64)`` holds no float32 state, so
+    no part of Eq. (1)-(13) is rounded to float32 on the way."""
+
+    @pytest.mark.parametrize("graph_mode", ["fixed", "learned"])
+    def test_parameters_and_constants_are_float64(self, tiny_dataset,
+                                                  graph_mode):
+        with use_dtype(np.float64):
+            model = ISRec.from_dataset(
+                tiny_dataset, max_len=8,
+                config=ISRecConfig(dim=16, graph_mode=graph_mode))
+        constants = dict(_constant_tensors(model))
+        if graph_mode == "fixed":
+            assert "transition.gcn.layers.0.adjacency" in constants
+        for name, tensor in constants.items():
+            assert tensor.data.dtype == np.float64, name
+        for name, parameter in model.named_parameters():
+            assert parameter.data.dtype == np.float64, name
 
 
 class TestLastOutput:

@@ -11,6 +11,11 @@ this test, which is the point: numeric drift must be a conscious decision
 The trained model is then frozen through the serving exporter and the
 evaluation repeated via :class:`repro.serve.RecommendationEngine`, which
 must reproduce the golden metrics bit for bit.
+
+A third recipe draws no randomness after initialisation (no dropout, no
+Gumbel noise), so a kernel rewrite that changes the shape of a random draw
+cannot move it.  It is pinned in float64 and float32, and the composed
+reference kernels must reproduce it too.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import pytest
 
 from repro import ISRec, ISRecConfig, RankingEvaluator, TrainConfig
 from repro.serve import RecommendationEngine, export_artifact, load_artifact
+from repro.tensor import fused, use_dtype
 from repro.utils import set_seed
 
 #: Captured from bitwise-equal repeats of this exact recipe.  Re-pinned when
@@ -48,6 +54,19 @@ GOLDEN_CONTRASTIVE_METRICS = {
     "mrr": 0.12055850150963894,
 }
 TOLERANCE = 1e-6
+#: The golden recipe with ``dropout=0.0`` and ``gumbel_noise=False``.  The
+#: metrics are the same in both dtypes; the float32 losses are within 2e-7
+#: of the float64 ones.
+GOLDEN_NOISE_FREE_LOSSES = {
+    "float64": [4.166277383463922, 4.117546428636853],
+    "float32": [4.1662774085998535, 4.117546558380127],
+}
+GOLDEN_NOISE_FREE_METRICS = {
+    "hr10": 0.3146067415730337,
+    "ndcg10": 0.15040286802483108,
+    "mrr": 0.13381385767075346,
+}
+NOISE_FREE_TOLERANCE = {"float64": 1e-9, "float32": 1e-6}
 
 
 @pytest.fixture(scope="module")
@@ -146,4 +165,58 @@ class TestGoldenContrastiveRun:
         artifact = export_artifact(model, tmp_path / "golden-contrastive.npz")
         engine = RecommendationEngine(load_artifact(artifact))
         served_report = evaluator.evaluate(engine, stage="test")
+        assert dataclasses.asdict(served_report) == dataclasses.asdict(report)
+
+
+@pytest.fixture(scope="module",
+                params=[("float64", "fused"), ("float32", "fused"),
+                        ("float64", "composed"), ("float32", "composed")],
+                ids=lambda param: "-".join(param))
+def golden_noise_free_run(request, tiny_dataset, tiny_split):
+    """The golden recipe without dropout or Gumbel noise, in one dtype,
+    through the fused kernels or the composed references."""
+    dtype, path = request.param
+    with use_dtype(dtype), fused.use_fused(path == "fused"):
+        set_seed(2024)
+        model = ISRec.from_dataset(
+            tiny_dataset, max_len=12,
+            config=ISRecConfig(dim=16, dropout=0.0, gumbel_noise=False))
+        history = model.fit(
+            tiny_dataset, tiny_split,
+            TrainConfig(epochs=2, batch_size=32, lr=3e-3, eval_every=10,
+                        patience=0, seed=0))
+        evaluator = RankingEvaluator(tiny_split, tiny_dataset.num_items,
+                                     num_negatives=40, seed=0,
+                                     popularity=tiny_dataset.item_popularity())
+        report = evaluator.evaluate(model, stage="test")
+    return dtype, path, model, history, evaluator, report
+
+
+class TestGoldenNoiseFreeRun:
+    def test_loss_curve_pinned(self, golden_noise_free_run):
+        dtype, _path, _model, history, _evaluator, _report = golden_noise_free_run
+        np.testing.assert_allclose(history.losses,
+                                   GOLDEN_NOISE_FREE_LOSSES[dtype],
+                                   rtol=0, atol=NOISE_FREE_TOLERANCE[dtype])
+
+    def test_ranking_metrics_pinned(self, golden_noise_free_run):
+        dtype, _path, _model, _history, _evaluator, report = golden_noise_free_run
+        np.testing.assert_allclose(
+            [report.hr10, report.ndcg10, report.mrr],
+            [GOLDEN_NOISE_FREE_METRICS["hr10"],
+             GOLDEN_NOISE_FREE_METRICS["ndcg10"],
+             GOLDEN_NOISE_FREE_METRICS["mrr"]],
+            rtol=0, atol=NOISE_FREE_TOLERANCE[dtype])
+
+    def test_trained_in_its_dtype(self, golden_noise_free_run):
+        dtype, _path, model, _history, _evaluator, _report = golden_noise_free_run
+        assert {p.data.dtype.name for p in model.parameters()} == {dtype}
+
+    def test_served_model_reproduces_metrics(self, golden_noise_free_run,
+                                             tmp_path):
+        dtype, _path, model, _history, evaluator, report = golden_noise_free_run
+        artifact = export_artifact(model, tmp_path / f"noise-free-{dtype}.npz")
+        engine = RecommendationEngine(load_artifact(artifact))
+        with use_dtype(dtype):
+            served_report = evaluator.evaluate(engine, stage="test")
         assert dataclasses.asdict(served_report) == dataclasses.asdict(report)
