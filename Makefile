@@ -1,6 +1,6 @@
 # Canonical workflows for the ISRec reproduction.
 
-.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-kernels bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents table-graphs figures lint
+.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents table-graphs figures lint
 
 install:
 	pip install -e . || \
@@ -38,9 +38,6 @@ bench-smoke:      ## plumbing check (~2 min)
 
 bench-full:       ## full profiles (~hours)
 	REPRO_BENCH=full pytest benchmarks/ --benchmark-only -s
-
-bench-kernels:    ## fused vs composed kernel microbench, writes BENCH_kernels.json (<60 s)
-	PYTHONPATH=src python -m repro.utils.bench --out BENCH_kernels.json
 
 bench-serve:      ## single-request serving latency benchmark, writes BENCH_serve.json (<60 s)
 	PYTHONPATH=src python -m repro.serve.bench --out BENCH_serve.json

@@ -1,23 +1,16 @@
-"""Benchmark: the intent-objectives sweep + the contrastive kernel.
+"""Benchmark: the intent-objectives sweep.
 
-Shape being reproduced (``docs/training-objectives.md``): the
-intent-contrastive auxiliary loss is a cheap add-on (the fused InfoNCE
-kernel must not dominate a training step), and the session evaluation
-splits into boundary vs within-session groups with boundary strictly
-harder on coherent session data.
+Shape being reproduced (``docs/training-objectives.md``): the session
+evaluation splits into boundary vs within-session groups with boundary
+strictly harder on coherent session data.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
 from repro.experiments import run_intent_objectives
-from repro.tensor import Tensor, functional as F
-from repro.tensor import fused
 
 PROFILES = ["epinions", "beauty"]
 
@@ -48,34 +41,3 @@ def test_intent_objectives_sweep(benchmark, bench_config, bench_scale,
                         - session["boundary"]["HR@10"])
     assert gaps and max(gaps) > 0
 
-
-@pytest.mark.benchmark(group="intents")
-def test_fused_info_nce_vs_composed(benchmark):
-    """The fused kernel must not lose to the composed reference."""
-    rng = np.random.default_rng(0)
-    batch, dim = 128, 48
-    anchors_data = rng.normal(size=(batch, dim)).astype(np.float64)
-    positives_data = rng.normal(size=(batch, dim)).astype(np.float64)
-
-    def step(op):
-        anchors = Tensor(anchors_data, requires_grad=True)
-        positives = Tensor(positives_data, requires_grad=True)
-        op(anchors, positives, temperature=0.2).backward()
-
-    def timed(op, repeats=30):
-        step(op)  # warm up
-        start = time.perf_counter()
-        for _ in range(repeats):
-            step(op)
-        return (time.perf_counter() - start) / repeats
-
-    composed_s = timed(F.info_nce_composed)
-    fused_s = benchmark.pedantic(lambda: timed(fused.info_nce),
-                                 rounds=1, iterations=1)
-    ratio = composed_s / fused_s
-    emit("Fused vs composed InfoNCE",
-         f"batch={batch} dim={dim}: fused {fused_s * 1e6:.1f}us  "
-         f"composed {composed_s * 1e6:.1f}us  ratio {ratio:.2f}x")
-    # Forward+backward agreement is pinned by tests; here just require the
-    # fused path to be at least comparable (no perf regression).
-    assert ratio > 0.8

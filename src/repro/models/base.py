@@ -181,29 +181,22 @@ class SequenceRecommender(Module, Recommender):
     def training_loss(self, batch) -> Tensor:
         """Next-item cross-entropy over the real positions (Eq. 13).
 
-        Padding positions weigh 0 in Eq. (13), so the fused path computes
-        the output, the ``(n, V)`` logits and the loss at the ``n``
-        non-padding positions only (:meth:`output_at`); the mean is the
-        same.  The padding-column ban of ``all_item_logits`` is folded into
-        the cross-entropy kernel (``suppress_index=0``): one logsumexp
-        forward and one ``softmax - one_hot`` backward over the raw logits.
-        The composed reference path keeps the full ``(B, T, V)`` grid with
-        the explicit ``all_item_logits`` + ``F.cross_entropy`` pipeline.
+        Padding positions weigh 0 in Eq. (13), so the output, the ``(n, V)``
+        logits and the loss are computed at the ``n`` non-padding positions
+        only (:meth:`output_at`); the mean is the same as over the full
+        ``(B, T)`` grid.  The padding-column ban of ``all_item_logits`` is
+        folded into the cross-entropy kernel (``suppress_index=0``): one
+        logsumexp forward and one ``softmax - one_hot`` backward over the
+        raw logits.
         """
         _users, inputs, targets, mask = batch
-        if fused.fused_enabled():
-            obs.record_kernel_dispatch("training_loss", True)
-            rows = np.asarray(mask) > 0
-            if not rows.any():
-                raise ValueError("cross_entropy mask excludes every position")
-            states = self.output_at(inputs, rows)
-            logits = states @ self.item_embedding.weight.T
-            loss = fused.cross_entropy(logits, np.asarray(targets)[rows],
-                                       suppress_index=0)
-        else:
-            obs.record_kernel_dispatch("training_loss", False)
-            logits = self.all_item_logits(self.sequence_output(inputs))
-            loss = F.cross_entropy(logits, targets, mask)
+        rows = np.asarray(mask) > 0
+        if not rows.any():
+            raise ValueError("cross_entropy mask excludes every position")
+        states = self.output_at(inputs, rows)
+        logits = states @ self.item_embedding.weight.T
+        loss = fused.cross_entropy(logits, np.asarray(targets)[rows],
+                                   suppress_index=0)
         if self._contrastive_weight > 0.0:
             loss = loss + self.contrastive_loss(inputs) * self._contrastive_weight
         return loss

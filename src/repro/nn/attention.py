@@ -4,10 +4,8 @@ Implements Eq. (3) of the paper.  SASRec and ISRec use the causal variant
 (footnote 2: query ``i`` may only attend to keys ``j <= i``); BERT4Rec uses
 the bidirectional variant.
 
-The hot path (mask + softmax + weighted sum) runs through the fused
-single-tape-node kernel :func:`repro.tensor.fused.attention` by default; the
-original composed implementation remains selectable via
-``fused.use_fused(False)`` and is what the fused kernel is verified against.
+The hot path (mask + softmax + weighted sum) runs as the fused
+single-tape-node kernel :func:`repro.tensor.fused.attention`.
 """
 
 from __future__ import annotations
@@ -17,13 +15,8 @@ import numpy as np
 from repro.nn.dropout import Dropout, _uniform
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.obs.registry import record_kernel_dispatch
-from repro.tensor import functional as F
 from repro.tensor import fused
 from repro.tensor.tensor import Tensor, is_inference_mode
-
-_NEG_INF = -1e9
-
 _CAUSAL_MASK_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -113,24 +106,13 @@ class MultiHeadSelfAttention(Module):
         v = self._split_heads(self.value(x), batch, length)
         forbidden = self._forbidden_mask(batch, length, key_padding_mask)
 
-        record_kernel_dispatch("attention", fused.fused_enabled())
-        if fused.fused_enabled():
-            dropout_mask = None
-            if self.training and self.dropout.p > 0.0 and not is_inference_mode():
-                keep = 1.0 - self.dropout.p
-                shape = (batch, self.num_heads, length, length)
-                dropout_mask = (
-                    _uniform(shape, x.data.dtype) < keep
-                ).astype(x.data.dtype)
-                dropout_mask *= 1.0 / keep
-            context = fused.attention(q, k, v, mask=forbidden, scale=self.scale,
-                                      dropout_mask=dropout_mask)
-        else:
-            scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, h, T, T)
-            if forbidden is not None:
-                scores = F.masked_fill(scores, forbidden, _NEG_INF)
-            weights = self.dropout(F.softmax(scores, axis=-1))
-            context = weights @ v  # (B, h, T, head_dim)
-
+        dropout_mask = None
+        if self.training and self.dropout.p > 0.0 and not is_inference_mode():
+            keep = 1.0 - self.dropout.p
+            shape = (batch, self.num_heads, length, length)
+            dropout_mask = (_uniform(shape, x.data.dtype) < keep).astype(x.data.dtype)
+            dropout_mask *= 1.0 / keep
+        context = fused.attention(q, k, v, mask=forbidden, scale=self.scale,
+                                  dropout_mask=dropout_mask)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
         return self.output(merged)

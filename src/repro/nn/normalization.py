@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.obs.registry import record_kernel_dispatch
 from repro.tensor import fused
 from repro.tensor.tensor import Tensor
 
@@ -13,10 +12,8 @@ class LayerNorm(Module):
     """Normalise the last dimension to zero mean / unit variance, then scale-shift.
 
     Matches the standard Transformer usage (applied after residual adds in
-    the encoder of the paper, §3.3).  The forward runs through the fused
-    single-tape-node kernel :func:`repro.tensor.fused.layer_norm` by
-    default; the composed reference (≈9 tape nodes) stays selectable via
-    ``fused.use_fused(False)``.
+    the encoder of the paper, §3.3).  The forward runs as the fused
+    single-tape-node kernel :func:`repro.tensor.fused.layer_norm`.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -28,16 +25,4 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Normalise the last axis, then apply the learned scale/shift."""
-        if fused.fused_enabled():
-            record_kernel_dispatch("layer_norm", True)
-            return fused.layer_norm(x, self.gamma, self.beta, self.eps)
-        record_kernel_dispatch("layer_norm", False)
-        return self.forward_composed(x)
-
-    def forward_composed(self, x: Tensor) -> Tensor:
-        """Reference implementation built from tape primitives."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered / (variance + self.eps).sqrt()
-        return normalized * self.gamma + self.beta
+        return fused.layer_norm(x, self.gamma, self.beta, self.eps)

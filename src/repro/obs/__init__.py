@@ -4,9 +4,8 @@ One subsystem for everything the training/eval stack reports about itself
 (see ``docs/observability.md``):
 
 - :mod:`repro.obs.registry` — counters, gauges, histograms, and scoped
-  timers behind a global on/off toggle mirroring
-  ``repro.tensor.fused.use_fused`` (off by default; near-zero cost when
-  disabled).
+  timers behind a global on/off toggle (off by default; near-zero cost
+  when disabled).
 - :mod:`repro.obs.sink` — a JSONL event stream plus an end-of-run summary
   writer; :func:`telemetry_run` wires both up for a scope.
 - :mod:`repro.obs.profile` — nested ``with profile("train_step"):`` spans
@@ -17,8 +16,7 @@ One subsystem for everything the training/eval stack reports about itself
 Instrumented call sites: ``Trainer`` (per-step loss / grad norm / LR /
 throughput / tensor allocations, checkpoint and divergence-recovery
 events), ``RankingEvaluator.evaluate`` (per-batch scoring latency,
-candidates/s), the fused-vs-composed kernel dispatch in ``repro.tensor``,
-every ``repro.experiments`` runner (one telemetry file per artefact), and
+candidates/s), every ``repro.experiments`` runner (one telemetry file per artefact), and
 the ``repro.parallel`` subsystem (per-step all-reduce and per-worker
 compute time, worker-count gauge, prefetch queue depth and hit/miss
 counters, parallel-sweep scheduling events).  Forked worker/pool children
@@ -37,7 +35,6 @@ from repro.obs.registry import (
     gauge,
     get_registry,
     histogram,
-    record_kernel_dispatch,
     set_registry,
     set_telemetry,
     telemetry_enabled,
@@ -70,7 +67,6 @@ __all__ = [
     "telemetry_run",
     "read_telemetry",
     "write_summary",
-    "record_kernel_dispatch",
     "profile",
     "profile_tree",
     "profile_report",

@@ -2,13 +2,12 @@
 
 The registry is the in-memory half of the observability layer
 (``docs/observability.md``): instruments all over the stack — the trainer,
-the ranking evaluator, the fused-kernel dispatchers — record into a single
+the ranking evaluator, the serving tier — record into a single
 process-global :class:`MetricsRegistry`, and sinks (``repro.obs.sink``)
 stream the event half to disk as JSONL.
 
-Telemetry is **off by default** and guarded by one module-level boolean,
-mirroring ``repro.tensor.fused.use_fused``: every instrumentation site
-checks :func:`telemetry_enabled` first, so the disabled cost is a global
+Telemetry is **off by default** and guarded by one module-level boolean:
+every instrumentation site checks :func:`telemetry_enabled` first, so the disabled cost is a global
 read and a branch.  Enable it for a scope with::
 
     from repro import obs
@@ -330,13 +329,3 @@ def timer(name: str) -> _TimerContext:
         return _NULL_TIMER
     return _REGISTRY.timer(name)
 
-
-def record_kernel_dispatch(kernel: str, fused_on: bool) -> None:
-    """Count one fused-vs-composed dispatch decision in ``repro.tensor``.
-
-    Called from the ``functional`` dispatchers and the nn-layer consumers;
-    the disabled-path cost is the boolean check.
-    """
-    if _TELEMETRY_ENABLED:
-        path = "fused" if fused_on else "composed"
-        _REGISTRY.counter(f"kernel_dispatch.{kernel}.{path}").inc()

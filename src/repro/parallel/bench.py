@@ -1,7 +1,7 @@
 """Benchmark harness for the parallel training subsystem.
 
 Times full training runs of a synthetic SASRec workload (ML-1M-scale
-shapes, the same as :mod:`repro.utils.bench`) under:
+shapes) under:
 
 - the single-process :class:`~repro.train.Trainer` (baseline);
 - the baseline plus a :class:`~repro.parallel.PrefetchLoader`;
@@ -38,7 +38,7 @@ from repro.utils.seeding import temp_seed
 
 SCHEMA = "bench_parallel/v1"
 
-#: ML-1M-scale workload (matches repro.utils.bench.DEFAULT_SHAPES) with a
+#: ML-1M-scale workload (3416 items, max_len 50) with a
 #: dataset large enough for the step loop to dominate process start-up.
 DEFAULT_SHAPES = dict(batch_size=128, seq_len=50, vocab=3416, dim=64,
                       num_heads=2, num_layers=2, num_sequences=512, epochs=2)

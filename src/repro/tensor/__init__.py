@@ -9,7 +9,7 @@ reproduction.  It provides:
   (softmax, cross-entropy, cosine similarity, ...).
 - :mod:`~repro.tensor.fused` — fused single-tape-node kernels for the
   training hot path (softmax, cross-entropy, masked attention, layer norm)
-  with hand-derived VJPs; toggled globally via ``fused.use_fused``.
+  with hand-derived VJPs, the only path those operations take.
 - :mod:`~repro.tensor.gradcheck` — numerical gradient checking used by the
   test-suite to validate every analytic gradient.
 - :func:`~repro.tensor.tensor.default_dtype` /
@@ -28,7 +28,6 @@ from repro.tensor.tensor import (
 )
 from repro.tensor import functional
 from repro.tensor import fused
-from repro.tensor.fused import use_fused, fused_enabled
 from repro.tensor.gradcheck import gradcheck, numerical_gradient
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "is_inference_mode",
     "functional",
     "fused",
-    "use_fused",
-    "fused_enabled",
     "gradcheck",
     "numerical_gradient",
 ]

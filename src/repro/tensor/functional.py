@@ -6,39 +6,27 @@ cross-entropy with padding masks, cosine similarity (Eq. 6 of the paper),
 binary cross-entropy for the pairwise baselines, and the BPR losses used by
 BPR-MF / FPMC / GRU4Rec+.
 
-The hot-path trio — :func:`softmax`, :func:`log_softmax`,
-:func:`cross_entropy` — dispatches to the fused single-tape-node kernels in
-:mod:`repro.tensor.fused` by default; the original multi-op compositions are
-kept as ``*_composed`` reference implementations (selected globally with
-``fused.use_fused(False)``) and every fused kernel is gradcheck-verified
-against them.
+The softmax family, :func:`cross_entropy` and :func:`info_nce` run as the
+fused single-tape-node kernels of :mod:`repro.tensor.fused`, each gradchecked
+against the composed form it replaced (kept as an oracle in the tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.registry import record_kernel_dispatch
 from repro.tensor import fused
 from repro.tensor.tensor import Tensor, where
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (fused kernel by default)."""
-    if fused.fused_enabled():
-        record_kernel_dispatch("softmax", True)
-        return fused.softmax(x, axis=axis)
-    record_kernel_dispatch("softmax", False)
-    return softmax_composed(x, axis=axis)
+    """Numerically stable softmax along ``axis`` (one fused tape node)."""
+    return fused.softmax(x, axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis`` (fused kernel by default)."""
-    if fused.fused_enabled():
-        record_kernel_dispatch("log_softmax", True)
-        return fused.log_softmax(x, axis=axis)
-    record_kernel_dispatch("log_softmax", False)
-    return log_softmax_composed(x, axis=axis)
+    """Numerically stable log-softmax along ``axis`` (one fused tape node)."""
+    return fused.log_softmax(x, axis=axis)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -56,14 +44,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         ``0`` are excluded from the mean (used for padded positions in a
         sequence, Eq. 13 of the paper).
 
-    Dispatches to the fused single-node kernel by default; the composed
-    reference is :func:`cross_entropy_composed`.
+    Runs as the fused single-node kernel :func:`repro.tensor.fused.cross_entropy`.
     """
-    if fused.fused_enabled():
-        record_kernel_dispatch("cross_entropy", True)
-        return fused.cross_entropy(logits, targets, mask)
-    record_kernel_dispatch("cross_entropy", False)
-    return cross_entropy_composed(logits, targets, mask)
+    return fused.cross_entropy(logits, targets, mask)
 
 
 def info_nce(anchors: Tensor, positives: Tensor, temperature: float = 0.2) -> Tensor:
@@ -72,66 +55,10 @@ def info_nce(anchors: Tensor, positives: Tensor, temperature: float = 0.2) -> Te
     Both views are L2-normalised, all ``N x N`` pairwise cosine similarities
     are divided by ``temperature``, and the loss averages the row-direction
     and column-direction cross-entropies with the matching pair on the
-    diagonal as the positive class.  Dispatches to the fused single-node
-    kernel by default; the composed reference is :func:`info_nce_composed`.
+    diagonal as the positive class.  Runs as the fused single-node kernel
+    :func:`repro.tensor.fused.info_nce`.
     """
-    if fused.fused_enabled():
-        record_kernel_dispatch("info_nce", True)
-        return fused.info_nce(anchors, positives, temperature=temperature)
-    record_kernel_dispatch("info_nce", False)
-    return info_nce_composed(anchors, positives, temperature=temperature)
-
-
-# ----------------------------------------------------------------------
-# Composed reference implementations (kept for gradcheck / benchmarking)
-# ----------------------------------------------------------------------
-def softmax_composed(x: Tensor, axis: int = -1) -> Tensor:
-    """Reference softmax built from ~4 tape primitives."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax_composed(x: Tensor, axis: int = -1) -> Tensor:
-    """Reference log-softmax built from ~5 tape primitives."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def cross_entropy_composed(logits: Tensor, targets: np.ndarray,
-                           mask: np.ndarray | None = None) -> Tensor:
-    """Reference cross-entropy built on the full log-softmax graph."""
-    targets = np.asarray(targets)
-    logp = log_softmax_composed(logits, axis=-1)
-    flat = logp.reshape(-1, logp.shape[-1])
-    rows = np.arange(flat.shape[0])
-    picked = flat[rows, targets.reshape(-1)]
-    nll = -picked
-    if mask is None:
-        return nll.mean()
-    mask_flat = np.asarray(mask, dtype=flat.dtype).reshape(-1)
-    total = float(mask_flat.sum())
-    if total <= 0:
-        raise ValueError("cross_entropy mask excludes every position")
-    return (nll * Tensor(mask_flat)).sum() * (1.0 / total)
-
-
-def info_nce_composed(anchors: Tensor, positives: Tensor,
-                      temperature: float = 0.2) -> Tensor:
-    """Reference InfoNCE built from normalise/matmul/cross-entropy primitives."""
-    if anchors.ndim != 2 or anchors.shape != positives.shape:
-        raise ValueError(
-            "info_nce expects matching (N, D) views, got "
-            f"{anchors.shape} and {positives.shape}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    a_hat = l2_normalize(anchors, axis=-1)
-    p_hat = l2_normalize(positives, axis=-1)
-    logits = (a_hat @ p_hat.swapaxes(0, 1)) * (1.0 / temperature)
-    targets = np.arange(anchors.shape[0])
-    row_direction = cross_entropy_composed(logits, targets)
-    col_direction = cross_entropy_composed(logits.swapaxes(0, 1), targets)
-    return (row_direction + col_direction) * 0.5
+    return fused.info_nce(anchors, positives, temperature=temperature)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:

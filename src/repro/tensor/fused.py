@@ -1,12 +1,11 @@
 """Fused single-tape-node kernels for the training/inference hot path.
 
 Every ISRec training step pays for a full-vocabulary softmax cross-entropy at
-every sequence position (Eq. 13) and ``L`` causal attention layers (Eq. 3).
-The composed implementations in :mod:`repro.tensor.functional` build these
-from 6–10 tiny tape operations each, so a single ``(B, T, V)`` loss
-materialises half a dozen full-size temporaries plus backward closures, and
-attention allocates a full ``(B, h, T, T)`` fill tensor per layer just to
-mask.
+every real sequence position (Eq. 13) and ``L`` causal attention layers
+(Eq. 3).  Composed from tape primitives, these take 6–10 tiny operations
+each, so a single loss materialises half a dozen full-size temporaries plus
+backward closures, and attention allocates a full ``(B, h, T, T)`` fill
+tensor per layer just to mask.
 
 This module provides the same operations as *one* tape node each, with a
 hand-derived vector-Jacobian product:
@@ -22,52 +21,23 @@ hand-derived vector-Jacobian product:
 - :func:`layer_norm` — normalisation + affine as one node with the standard
   three-term backward.
 
-The composed implementations stay in the tree as the reference; every fused
-kernel is gradcheck-verified against them (``tests/tensor/test_fused.py``).
-The module-level :func:`use_fused` switch lets callers (and the benchmark
-harness, ``repro.utils.bench``) select either path at runtime.
-
-ISRec's decoder has one path only: :func:`intent_decode` (Eq. 11's masked
-sum of per-concept reverse maps) runs every position as one GEMM.  Its
-composed reference lives in ``tests/tensor/test_intent_kernels.py``, not
-behind :func:`use_fused`.  The same holds for the transition's top-lambda
-relaxation, :func:`norm_top_k` (oracle in ``tests/core/test_top_lambda.py``).
+Each kernel is the only runtime path for its operation.  The composed
+forms they replaced live in the test suite as oracles (``tests/composed.py``):
+every kernel is gradchecked and matched against them, and whole models are
+run through them by monkeypatching this module.  ISRec's decoder,
+:func:`intent_decode` (Eq. 11's masked sum of per-concept reverse maps, one
+GEMM over every position), keeps its oracle in
+``tests/tensor/test_intent_kernels.py``; the transition's top-lambda
+relaxation, :func:`norm_top_k`, keeps its in ``tests/core/test_top_lambda.py``.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
 from repro.tensor.tensor import Tensor
 
 _NEG_INF = -1e9
-
-_FUSED_ENABLED = True
-
-
-def fused_enabled() -> bool:
-    """Return whether consumers should dispatch to the fused kernels."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def use_fused(enabled: bool = True):
-    """Context manager selecting the fused (default) or composed path.
-
-    ``with use_fused(False):`` routes :mod:`repro.tensor.functional`
-    dispatchers and the nn-layer consumers (attention, layer norm) through
-    the original composed implementations — the benchmark harness uses this
-    to time both paths on identical inputs.
-    """
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED = previous
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward) -> Tensor:
@@ -122,8 +92,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     Forward is a single logsumexp; backward is ``softmax - one_hot`` scaled
     by each position's weight, written straight into one ``(N, V)`` buffer —
     the log-prob graph of the composed reference is never materialised.
-    Semantics (padding ``mask``, all-masked :class:`ValueError`) match
-    :func:`repro.tensor.functional.cross_entropy_composed`.
+    A position whose ``mask`` is 0 is excluded from the mean, and a mask
+    that excludes every position raises :class:`ValueError`.
 
     ``suppress_index`` treats one vocabulary column as ``-inf`` inside the
     kernel (zero probability, zero gradient).  This replaces the
@@ -193,8 +163,8 @@ def info_nce(anchors: Tensor, positives: Tensor,
     the row-wise and column-wise cross-entropies with the diagonal as the
     positive class — in-batch negatives in both directions.
 
-    The composed reference (:func:`repro.tensor.functional.info_nce_composed`)
-    builds the same value from ~20 tape primitives; here forward is one
+    The composed reference builds the same value from ~20 tape primitives;
+    here forward is one
     normalised matmul plus two logsumexps and backward is a single
     hand-derived VJP: with ``G = grad/(2N) · (P_row + P_col) - grad/N · I``
     scaled by ``1/temperature``, ``dA_hat = G @ P_hat`` and
@@ -314,8 +284,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Last-axis normalisation + affine as one tape node.
 
-    Matches :class:`repro.nn.LayerNorm`'s composed forward (biased variance,
-    ``eps`` inside the square root) and uses the standard three-term
+    Biased variance with ``eps`` inside the square root, as the standard
+    Transformer layer norm, and uses the standard three-term
     backward ``dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``.
     """
     mean = x.data.mean(axis=-1, keepdims=True)

@@ -27,10 +27,11 @@ import numpy as np
 _GRAD_ENABLED = True
 _INFERENCE_MODE = False
 
-# Monotone count of Tensor objects constructed since import.  The benchmark
-# harness (repro.utils.bench) reads deltas of this counter to report how many
-# tensor temporaries a code path materialises — the fused kernels exist
-# precisely to drive this number down on the training hot path.
+# Monotone count of Tensor objects constructed since import.  Benchmarks
+# (``repro.utils.bench.measure``, perfbench's ``tensor.allocs_per_step``) and
+# the kernel allocation tests read deltas of this counter to count the tensor
+# temporaries a code path materialises — the fused kernels exist precisely
+# to drive this number down on the training hot path.
 _TENSOR_ALLOCS = 0
 
 # Monotone count of *tape nodes* recorded since import: tensors that joined

@@ -3,7 +3,7 @@
 Three sections, written to ``BENCH_backends.json`` at the repository root
 (regenerate with ``make bench-backends``):
 
-- ``train_step`` — the fused training step of an ISRec/SASRec-sized model
+- ``train_step`` — the training step of an ISRec/SASRec-sized model
   built and run under ``use_dtype(np.float64)`` versus the float32
   default.  The float64 run is the full-precision baseline; the recorded
   ``speedup_f32_vs_f64`` is the reduced-precision win (acceptance floor:
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.models.sasrec import SASRec
-from repro.tensor import fused, use_dtype
+from repro.tensor import use_dtype
 from repro.utils.bench import environment_info, measure, write_bench
 from repro.utils.seeding import temp_seed
 
@@ -72,7 +72,7 @@ def _build_train_case(dtype: str, shapes: dict):
     payload = (np.arange(batch), inputs, targets, mask)
 
     def step() -> None:
-        with use_dtype(dtype), fused.use_fused(True):
+        with use_dtype(dtype):
             loss = model.training_loss(payload)
             loss.backward()
             for parameter in parameters:

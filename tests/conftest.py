@@ -9,6 +9,7 @@ from repro.data import split_leave_one_out
 from repro.data.synthetic import SimulatorConfig, generate_dataset
 from repro.train import TrainConfig
 from repro.utils import set_seed
+from tests.composed import patch_composed
 
 
 @pytest.fixture(autouse=True)
@@ -46,3 +47,9 @@ def fast_train_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def composed_kernels(monkeypatch):
+    """Run every fused kernel the layers call as its composed reference."""
+    patch_composed(monkeypatch)

@@ -2,9 +2,9 @@
 
 Pins the three contracts ``docs/graph-workloads.md`` promises:
 
-- both models are gradcheck-clean under the fused *and* composed kernel
-  dispatch (KTUP's preference attention goes through ``F.softmax``, FM's
-  training loss through the shared cross-entropy) and forward-consistent
+- both models are gradcheck-clean through the fused kernels *and* their
+  composed references (KTUP's preference attention goes through
+  ``F.softmax``, FM's training loss through the shared cross-entropy) and forward-consistent
   at both float dtypes;
 - both export to inference artifacts and serve through
   :class:`~repro.serve.RecommendationEngine` with evaluator-parity — the
@@ -29,7 +29,7 @@ from repro.serve import (
     load_artifact,
     servable_models,
 )
-from repro.tensor import fused, gradcheck, use_dtype
+from repro.tensor import gradcheck, use_dtype
 from repro.train import TrainConfig
 from repro.utils import set_seed
 
@@ -82,7 +82,12 @@ class TestRunningMean:
 
 @pytest.mark.parametrize("dispatch", ["fused", "composed"])
 class TestGradcheck:
-    def test_ktup_sequence_output(self, dispatch):
+    @pytest.fixture(autouse=True)
+    def _kernels(self, dispatch, request):
+        if dispatch == "composed":
+            request.getfixturevalue("composed_kernels")
+
+    def test_ktup_sequence_output(self):
         set_seed(0)
         model = _promote(_tiny_ktup())
         inputs = np.array([[0, 1, 2, 3, 1, 5], [0, 0, 0, 4, 4, 2]])
@@ -90,10 +95,9 @@ class TestGradcheck:
         params = [model.item_embedding.weight,
                   model.preference_embedding.weight,
                   model.relation_embedding.weight]
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, params, atol=5e-4)
+        assert gradcheck(func, params, atol=5e-4)
 
-    def test_ktup_kg_loss(self, dispatch):
+    def test_ktup_kg_loss(self):
         set_seed(0)
         model = _promote(_tiny_ktup(margin=2.0))
         positives = model.kg_triples
@@ -103,10 +107,9 @@ class TestGradcheck:
                   model.entity_embedding.weight,
                   model.relation_embedding.weight,
                   model.relation_norm.weight]
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, params, atol=5e-4)
+        assert gradcheck(func, params, atol=5e-4)
 
-    def test_ktup_training_loss(self, dispatch):
+    def test_ktup_training_loss(self):
         set_seed(0)
         model = _promote(_tiny_ktup())
         inputs = np.array([[0, 1, 2, 3, 1, 5]])
@@ -118,20 +121,18 @@ class TestGradcheck:
         func = lambda *params: model.training_loss(batch)
         params = [model.item_embedding.weight,
                   model.preference_embedding.weight]
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, params, atol=5e-4)
+        assert gradcheck(func, params, atol=5e-4)
 
-    def test_fm_sequence_output(self, dispatch):
+    def test_fm_sequence_output(self):
         set_seed(0)
         model = _promote(_tiny_fm())
         inputs = np.array([[0, 1, 2, 3, 1, 5], [0, 0, 0, 4, 4, 2]])
         func = lambda *params: (model.sequence_output(inputs) ** 2).sum()
         params = [model.item_embedding.weight,
                   model.concept_projection.weight]
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, params, atol=5e-4)
+        assert gradcheck(func, params, atol=5e-4)
 
-    def test_fm_training_loss(self, dispatch):
+    def test_fm_training_loss(self):
         # Exercises the shared fused/composed cross-entropy path.
         set_seed(0)
         model = _promote(_tiny_fm())
@@ -142,8 +143,7 @@ class TestGradcheck:
         func = lambda *params: model.training_loss(batch)
         params = [model.item_embedding.weight,
                   model.concept_projection.weight]
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, params, atol=5e-4)
+        assert gradcheck(func, params, atol=5e-4)
 
 
 class TestBackends:

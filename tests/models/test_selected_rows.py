@@ -1,10 +1,11 @@
 """Training at the non-padding positions only.
 
 ``SequenceRecommender.training_loss`` computes the output, the logits and
-the cross-entropy at the positions the mask keeps (``output_at``); the
-composed ``use_fused(False)`` path still runs the full ``(B, T)`` grid and
-is the oracle.  In float64, without dropout or Gumbel noise, both must give
-the same loss and gradients up to rounding.
+the cross-entropy at the positions the mask keeps (``output_at``).  The
+oracle runs the full ``(B, T)`` grid, ``all_item_logits(sequence_output(...))``
+and the cross-entropy with the padding mask, with every kernel replaced by
+its composed reference (the ``composed_kernels`` fixture).  In float64, without dropout or Gumbel noise, both
+must give the same loss and gradients up to rounding.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import pytest
 from repro import ISRec, ISRecConfig
 from repro.data.batching import next_item_batches
 from repro.models import SASRec
-from repro.tensor import Tensor, fused, use_dtype
+from repro.tensor import Tensor, use_dtype
 from repro.utils import set_seed
+from tests.composed import cross_entropy_composed
 
 ISREC_CONFIGS = {
     "default": {},
@@ -40,18 +42,25 @@ def _batch(split):
                                   np.random.default_rng(0)))
 
 
-def _loss_and_grads(model, batch):
+def _loss_and_grads(model, loss_fn):
     model.zero_grad()
-    loss = model.training_loss(batch)
+    loss = loss_fn()
     loss.backward()
     return float(loss.data), {name: p.grad for name, p in model.named_parameters()}
 
 
-def _assert_matches_full_grid(model, batch):
+def _full_grid_loss(model, batch):
+    _users, inputs, targets, mask = batch
+    logits = model.all_item_logits(model.sequence_output(inputs))
+    return cross_entropy_composed(logits, targets, mask)
+
+
+def _assert_matches_full_grid(model, batch, request):
     model.train()
-    loss, grads = _loss_and_grads(model, batch)
-    with fused.use_fused(False):
-        full_loss, full_grads = _loss_and_grads(model, batch)
+    loss, grads = _loss_and_grads(model, lambda: model.training_loss(batch))
+    request.getfixturevalue("composed_kernels")
+    full_loss, full_grads = _loss_and_grads(
+        model, lambda: _full_grid_loss(model, batch))
     assert abs(loss - full_loss) <= 1e-12
     largest = max(float(np.abs(g).max()) for g in full_grads.values()
                   if g is not None)
@@ -74,20 +83,21 @@ def _assert_matches_full_grid(model, batch):
 
 
 @pytest.mark.parametrize("name", sorted(ISREC_CONFIGS))
-def test_isrec_matches_full_grid_float64(name, tiny_dataset, tiny_split):
+def test_isrec_matches_full_grid_float64(name, tiny_dataset, tiny_split,
+                                         request):
     with use_dtype(np.float64):
         set_seed(2024)
         model = _isrec(tiny_dataset, **ISREC_CONFIGS[name])
     batch = _batch(tiny_split)
     assert (batch[3] == 0).any(), "the batch must contain padding"
-    _assert_matches_full_grid(model, batch)
+    _assert_matches_full_grid(model, batch, request)
 
 
-def test_sasrec_matches_full_grid_float64(tiny_dataset, tiny_split):
+def test_sasrec_matches_full_grid_float64(tiny_dataset, tiny_split, request):
     with use_dtype(np.float64):
         set_seed(2024)
         model = _sasrec(tiny_dataset)
-    _assert_matches_full_grid(model, _batch(tiny_split))
+    _assert_matches_full_grid(model, _batch(tiny_split), request)
 
 
 def test_isrec_runs_the_head_at_selected_rows_only(tiny_dataset, tiny_split):

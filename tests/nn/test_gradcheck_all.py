@@ -3,9 +3,10 @@
 One matrix: every layer the model zoo uses (Linear, Embedding, LayerNorm,
 Dropout in eval mode, multi-head attention, a full transformer block, the
 GRU, the Caser convolutions, the GCN stack, MLPs, and the Gumbel path)
-gradchecked in float64 under **both** kernel dispatch modes — fused
-(:mod:`repro.tensor.fused`) and composed (the ``repro.tensor.functional``
-reference) — so a backward regression in either path fails loudly.
+gradchecked in float64 both through the fused kernels
+(:mod:`repro.tensor.fused`) and through their composed references (the
+``composed_kernels`` fixture, ``tests/composed.py``) — so a backward
+regression in either fails loudly.
 
 The straight-through ``gumbel_top_k`` is the one place numeric
 differentiation is *invalid*: its forward value is the hard multi-hot
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor, fused, gradcheck
+from repro.tensor import Tensor, gradcheck
 from repro.utils import set_seed
 
 
@@ -183,12 +184,13 @@ TOLERANCES = {
 @pytest.mark.parametrize("dispatch", ["fused", "composed"])
 @pytest.mark.parametrize("case", sorted(CASES))
 class TestGradcheckMatrix:
-    def test_layer(self, case, dispatch, rng):
+    def test_layer(self, case, dispatch, rng, request):
+        if dispatch == "composed":
+            request.getfixturevalue("composed_kernels")
         set_seed(0)
         func, inputs = CASES[case](rng)
         tolerance = TOLERANCES.get(case, {})
-        with fused.use_fused(dispatch == "fused"):
-            assert gradcheck(func, inputs, **tolerance)
+        assert gradcheck(func, inputs, **tolerance)
 
 
 class TestEmbeddingPaddingRow:
@@ -206,20 +208,21 @@ class TestStraightThroughGumbel:
     estimator's contract directly instead."""
 
     @pytest.mark.parametrize("dispatch", ["fused", "composed"])
-    def test_forward_is_hard_and_grad_is_relaxation(self, dispatch, rng):
+    def test_forward_is_hard_and_grad_is_relaxation(self, dispatch, rng, request):
+        if dispatch == "composed":
+            request.getfixturevalue("composed_kernels")
         set_seed(0)
         logits = rng.normal(size=(2, 4, 6)).astype(np.float64)
-        with fused.use_fused(dispatch == "fused"):
-            hard_input = Tensor(logits.copy(), requires_grad=True)
-            hard_output = nn.gumbel_top_k(hard_input, k=2, tau=0.7, noise=False)
-            # Forward: exact multi-hot with exactly k active entries.
-            assert set(np.unique(hard_output.data)) <= {0.0, 1.0}
-            assert np.all(hard_output.data.sum(axis=-1) == 2)
-            # Backward: identical to the relaxation's analytic gradient under
-            # the same downstream function.
-            weights = rng.normal(size=hard_output.shape)
-            (hard_output * Tensor(weights)).sum().backward()
-            soft_input = Tensor(logits.copy(), requires_grad=True)
-            soft_output = nn.gumbel_softmax(soft_input, tau=0.7, noise=False)
-            (soft_output * Tensor(weights)).sum().backward()
+        hard_input = Tensor(logits.copy(), requires_grad=True)
+        hard_output = nn.gumbel_top_k(hard_input, k=2, tau=0.7, noise=False)
+        # Forward: exact multi-hot with exactly k active entries.
+        assert set(np.unique(hard_output.data)) <= {0.0, 1.0}
+        assert np.all(hard_output.data.sum(axis=-1) == 2)
+        # Backward: identical to the relaxation's analytic gradient under
+        # the same downstream function.
+        weights = rng.normal(size=hard_output.shape)
+        (hard_output * Tensor(weights)).sum().backward()
+        soft_input = Tensor(logits.copy(), requires_grad=True)
+        soft_output = nn.gumbel_softmax(soft_input, tau=0.7, noise=False)
+        (soft_output * Tensor(weights)).sum().backward()
         np.testing.assert_array_equal(hard_input.grad, soft_input.grad)

@@ -159,22 +159,6 @@ class TestModuleConveniences:
         finally:
             obs.set_registry(previous)
 
-    def test_record_kernel_dispatch_respects_toggle(self):
-        registry = MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            obs.record_kernel_dispatch("softmax", True)
-            assert registry.snapshot() == {}  # disabled: no-op
-            with obs.use_telemetry():
-                obs.record_kernel_dispatch("softmax", True)
-                obs.record_kernel_dispatch("softmax", False)
-                obs.record_kernel_dispatch("softmax", False)
-            snap = registry.snapshot()
-            assert snap["kernel_dispatch.softmax.fused"]["value"] == 1
-            assert snap["kernel_dispatch.softmax.composed"]["value"] == 2
-        finally:
-            obs.set_registry(previous)
-
 
 class TestProfiler:
     @pytest.fixture(autouse=True)

@@ -150,7 +150,7 @@ class TestTelemetryRun:
             obs.emit("ignored")
             with obs.timer("ignored.timer"):
                 pass
-            obs.record_kernel_dispatch("softmax", True)
+            obs.counter("ignored.counter").inc()
         finally:
             registry.detach(sink)
             sink.close()

@@ -1,5 +1,5 @@
 """Fused kernels (repro.tensor.fused): gradchecks against finite differences
-and equivalence against the composed reference implementations."""
+and equivalence against the composed references of ``tests/composed.py``."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,14 @@ from repro.tensor import functional as F
 from repro.tensor import fused
 from repro.tensor.gradcheck import gradcheck
 from repro.tensor.tensor import Tensor, tensor_allocs
+from tests.composed import (
+    REFERENCES,
+    attention_composed,
+    cross_entropy_composed,
+    layer_norm_composed,
+    log_softmax_composed,
+    softmax_composed,
+)
 
 
 @pytest.fixture
@@ -21,13 +29,8 @@ def _leaf(rng, shape, dtype=np.float64):
     return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
 
 
-def _attention_composed(q, k, v, mask=None, scale=1.0):
-    """The multi-op reference the fused attention kernel must match."""
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if mask is not None:
-        scores = F.masked_fill(scores, mask, -1e9)
-    weights = F.softmax_composed(scores, axis=-1)
-    return weights @ v
+def _grad_leaf(data):
+    return Tensor(data, requires_grad=True)
 
 
 # ----------------------------------------------------------------------
@@ -114,13 +117,13 @@ class TestEquivalence:
     def test_softmax_matches_composed(self, rng):
         x = Tensor(rng.standard_normal((4, 2, 12, 12)).astype(np.float32))
         fused_out = fused.softmax(x, axis=-1)
-        composed = F.softmax_composed(x, axis=-1)
+        composed = softmax_composed(x, axis=-1)
         np.testing.assert_allclose(fused_out.data, composed.data, atol=1e-5)
 
     def test_log_softmax_matches_composed(self, rng):
         x = Tensor(rng.standard_normal((4, 12, 50)).astype(np.float32))
         np.testing.assert_allclose(fused.log_softmax(x).data,
-                                   F.log_softmax_composed(x).data, atol=1e-5)
+                                   log_softmax_composed(x).data, atol=1e-5)
 
     def test_cross_entropy_matches_composed(self, rng):
         logits_data = rng.standard_normal((4, 12, 50)).astype(np.float32)
@@ -131,7 +134,7 @@ class TestEquivalence:
         a = Tensor(logits_data.copy(), requires_grad=True)
         b = Tensor(logits_data.copy(), requires_grad=True)
         fused_loss = fused.cross_entropy(a, targets, mask)
-        composed_loss = F.cross_entropy_composed(b, targets, mask)
+        composed_loss = cross_entropy_composed(b, targets, mask)
         np.testing.assert_allclose(fused_loss.data, composed_loss.data, atol=1e-5)
 
         fused_loss.backward()
@@ -144,7 +147,7 @@ class TestEquivalence:
         a = Tensor(logits_data.copy(), requires_grad=True)
         b = Tensor(logits_data.copy(), requires_grad=True)
         np.testing.assert_allclose(fused.cross_entropy(a, targets).data,
-                                   F.cross_entropy_composed(b, targets).data,
+                                   cross_entropy_composed(b, targets).data,
                                    atol=1e-5)
 
     def test_cross_entropy_all_masked_raises(self, rng):
@@ -152,7 +155,7 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             fused.cross_entropy(logits, np.zeros(3, dtype=int), np.zeros(3))
         with pytest.raises(ValueError):
-            F.cross_entropy_composed(logits, np.zeros(3, dtype=int), np.zeros(3))
+            cross_entropy_composed(logits, np.zeros(3, dtype=int), np.zeros(3))
 
     def test_attention_matches_composed(self, rng):
         data = [rng.standard_normal((2, 2, 8, 4)).astype(np.float32) for _ in range(3)]
@@ -161,7 +164,7 @@ class TestEquivalence:
         leaves_comp = [Tensor(d.copy(), requires_grad=True) for d in data]
 
         out_fused = fused.attention(*leaves_fused, mask=mask, scale=0.5)
-        out_comp = _attention_composed(*leaves_comp, mask=mask, scale=0.5)
+        out_comp = attention_composed(*leaves_comp, mask=mask, scale=0.5)
         np.testing.assert_allclose(out_fused.data, out_comp.data, atol=1e-5)
 
         out_fused.sum().backward()
@@ -177,7 +180,7 @@ class TestEquivalence:
         leaves_comp = [Tensor(d.copy(), requires_grad=True) for d in data]
 
         out_fused = fused.attention(*leaves_fused, mask=mask)
-        out_comp = _attention_composed(*leaves_comp, mask=mask)
+        out_comp = attention_composed(*leaves_comp, mask=mask)
         np.testing.assert_allclose(out_fused.data, out_comp.data, atol=1e-5)
 
         out_fused.sum().backward()
@@ -190,10 +193,10 @@ class TestEquivalence:
         layer.gamma.data[:] = rng.standard_normal(16).astype(np.float32)
         layer.beta.data[:] = rng.standard_normal(16).astype(np.float32)
         x = Tensor(rng.standard_normal((4, 10, 16)).astype(np.float32))
-        np.testing.assert_allclose(layer(x).data, layer.forward_composed(x).data,
-                                   atol=1e-5)
+        composed = layer_norm_composed(x, layer.gamma, layer.beta, layer.eps)
+        np.testing.assert_allclose(layer(x).data, composed.data, atol=1e-5)
 
-    def test_attention_module_paths_match(self, rng):
+    def test_attention_module_paths_match(self, rng, request):
         attention = MultiHeadSelfAttention(dim=8, num_heads=2, dropout=0.0)
         attention.eval()
         x = Tensor(rng.standard_normal((3, 6, 8)).astype(np.float32))
@@ -201,15 +204,14 @@ class TestEquivalence:
         padding[1, :3] = True
         padding[2, :] = True  # a fully-padded sequence exercises the guard
 
-        with fused.use_fused(True):
-            out_fused = attention(x, key_padding_mask=padding)
-        with fused.use_fused(False):
-            out_composed = attention(x, key_padding_mask=padding)
+        out_fused = attention(x, key_padding_mask=padding)
+        request.getfixturevalue("composed_kernels")
+        out_composed = attention(x, key_padding_mask=padding)
         np.testing.assert_allclose(out_fused.data, out_composed.data, atol=1e-5)
 
-    def test_training_loss_paths_match(self, rng):
-        # The fused path folds the padding-column ban into the CE kernel
-        # (suppress_index=0); the composed path keeps all_item_logits + CE.
+    def test_training_loss_paths_match(self, rng, request):
+        # The fused kernel folds the padding-column ban into the CE node
+        # (suppress_index=0); the composed reference adds it explicitly.
         from repro.models.sasrec import SASRec
         from repro.utils.seeding import temp_seed
 
@@ -223,16 +225,15 @@ class TestEquivalence:
         mask = (targets > 0).astype(np.float32)
         batch = (np.arange(4), inputs, targets, mask)
 
-        with fused.use_fused(True):
-            loss_fused = model.training_loss(batch)
-            loss_fused.backward()
-            grads_fused = [p.grad.copy() if p.grad is not None else None
-                           for p in model.parameters()]
-            for p in model.parameters():
-                p.zero_grad()
-        with fused.use_fused(False):
-            loss_composed = model.training_loss(batch)
-            loss_composed.backward()
+        loss_fused = model.training_loss(batch)
+        loss_fused.backward()
+        grads_fused = [p.grad.copy() if p.grad is not None else None
+                       for p in model.parameters()]
+        for p in model.parameters():
+            p.zero_grad()
+        request.getfixturevalue("composed_kernels")
+        loss_composed = model.training_loss(batch)
+        loss_composed.backward()
 
         np.testing.assert_allclose(loss_fused.data, loss_composed.data, atol=1e-5)
         for gf, parameter in zip(grads_fused, model.parameters()):
@@ -249,20 +250,22 @@ class TestEquivalence:
         b = Tensor(b_data, requires_grad=True)
 
         loss_a = fused.cross_entropy(a, targets, suppress_index=0)
-        loss_b = F.cross_entropy_composed(b, targets)
+        loss_b = cross_entropy_composed(b, targets)
         np.testing.assert_allclose(loss_a.data, loss_b.data, atol=1e-5)
 
         loss_a.backward()
         loss_b.backward()
         np.testing.assert_allclose(a.grad, b.grad, atol=1e-5)
 
-    def test_functional_dispatch_honours_toggle(self, rng):
+    def test_functional_dispatch_honours_toggle(self, rng, request):
+        # The composed_kernels fixture is what turns a whole-model check
+        # into an oracle comparison, so it must reach every kernel.
         x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        with fused.use_fused(True):
-            assert F.softmax(x)._op == "fused_softmax"
-        with fused.use_fused(False):
-            assert F.softmax(x)._op != "fused_softmax"
-        assert fused.fused_enabled()  # context managers restore the flag
+        assert F.softmax(x)._op == "fused_softmax"
+        request.getfixturevalue("composed_kernels")
+        assert F.softmax(x)._op != "fused_softmax"
+        for name, reference in REFERENCES.items():
+            assert getattr(fused, name) is reference, name
 
 
 # ----------------------------------------------------------------------
@@ -274,16 +277,29 @@ class TestAllocations:
         fn()
         return tensor_allocs() - before
 
-    def test_fused_cross_entropy_allocates_fewer_tensors(self, rng):
-        logits_data = rng.standard_normal((8, 16, 64)).astype(np.float32)
+    @pytest.mark.parametrize("kernel", ["cross_entropy", "softmax",
+                                        "log_softmax", "attention",
+                                        "layer_norm"])
+    def test_fused_kernel_allocates_fewer_tensors(self, rng, kernel):
+        # Forward + backward of each kernel on train-step-like shapes; the
+        # point of fusing is to materialise fewer tensor temporaries.
+        logits = rng.standard_normal((8, 16, 64)).astype(np.float32)
         targets = rng.integers(0, 64, size=(8, 16))
-
-        def run(op):
-            leaf = Tensor(logits_data, requires_grad=True)
-            op(leaf, targets).backward()
-
-        fused_allocs = self._allocs(lambda: run(fused.cross_entropy))
-        composed_allocs = self._allocs(lambda: run(F.cross_entropy_composed))
+        qkv = [rng.standard_normal((8, 2, 16, 8)).astype(np.float32)
+               for _ in range(3)]
+        gamma, beta = (Tensor(rng.standard_normal(64).astype(np.float32),
+                              requires_grad=True) for _ in range(2))
+        cases = {
+            "cross_entropy": lambda op: op(_grad_leaf(logits), targets),
+            "softmax": lambda op: op(_grad_leaf(logits)).sum(),
+            "log_softmax": lambda op: op(_grad_leaf(logits)).sum(),
+            "attention": lambda op: op(*map(_grad_leaf, qkv),
+                                       mask=causal_mask(16), scale=0.5).sum(),
+            "layer_norm": lambda op: op(_grad_leaf(logits), gamma, beta).sum(),
+        }
+        run = cases[kernel]
+        fused_allocs = self._allocs(lambda: run(getattr(fused, kernel)).backward())
+        composed_allocs = self._allocs(lambda: run(REFERENCES[kernel]).backward())
         assert fused_allocs < composed_allocs
 
     def test_masked_fill_broadcasts_scalar_fill(self, rng):

@@ -27,8 +27,9 @@ import pytest
 
 from repro import ISRec, ISRecConfig, RankingEvaluator, TrainConfig
 from repro.serve import RecommendationEngine, export_artifact, load_artifact
-from repro.tensor import fused, use_dtype
+from repro.tensor import use_dtype
 from repro.utils import set_seed
+from tests.composed import patch_composed
 
 #: Captured from bitwise-equal repeats of this exact recipe.  Re-pinned when
 #: training moved to the non-padding positions only: the Gumbel noise of
@@ -176,7 +177,9 @@ def golden_noise_free_run(request, tiny_dataset, tiny_split):
     """The golden recipe without dropout or Gumbel noise, in one dtype,
     through the fused kernels or the composed references."""
     dtype, path = request.param
-    with use_dtype(dtype), fused.use_fused(path == "fused"):
+    with use_dtype(dtype), pytest.MonkeyPatch.context() as monkeypatch:
+        if path == "composed":
+            patch_composed(monkeypatch)
         set_seed(2024)
         model = ISRec.from_dataset(
             tiny_dataset, max_len=12,
