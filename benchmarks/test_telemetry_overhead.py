@@ -1,14 +1,15 @@
 """Wall-clock telemetry overhead bound (moved out of tier-1).
 
-Asserts the ISSUE acceptance criterion — telemetry costs under 5% of a
-train step — by timing the same ``Trainer`` steps with telemetry fully
-enabled vs disabled in one session.  Timing assertions belong here, not
+Asserts that telemetry costs under 5% of a train step, by timing the same
+``Trainer`` steps with telemetry fully enabled vs disabled in one session.  Timing assertions belong here, not
 in tier-1: they flake under machine drift and CPU contention, which the
 deterministic counted assertions in
 ``tests/obs/test_trainer_telemetry.py`` are immune to.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from benchmarks.conftest import emit
 from repro import obs
 from repro.models.sasrec import SASRec
 from repro.train import TrainConfig, Trainer
-from repro.utils.bench import measure
 from repro.utils.seeding import temp_seed
 
 STEPS = 4
+FITS = 40
 
 
 class RepeatedBatchSASRec(SASRec):
@@ -42,25 +43,33 @@ class RepeatedBatchSASRec(SASRec):
         return [self.batch] * STEPS
 
 
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 @pytest.mark.bench
 def test_overhead_under_five_percent():
     trainer = Trainer(RepeatedBatchSASRec(),
                       TrainConfig(epochs=1, lr=1e-3, eval_every=10, patience=0))
 
-    # Measure disabled on both sides of enabled so drift during the run
-    # cannot bias the comparison one way.
-    disabled = measure(trainer.fit, repeats=8, warmup=3)
+    # Alternate disabled and enabled fits one by one, so a slow spell of
+    # a shared host lands on both sides alike; each side keeps its best.
     registry = obs.MetricsRegistry()
-    previous = obs.set_registry(registry)
-    try:
-        with obs.use_telemetry():
-            enabled = measure(trainer.fit, repeats=8, warmup=3)
-    finally:
-        obs.set_registry(previous)
-    disabled_again = measure(trainer.fit, repeats=8, warmup=3)
+    for _ in range(3):
+        trainer.fit()
+    disabled, enabled = [], []
+    for _ in range(FITS):
+        disabled.append(_timed(trainer.fit))
+        previous = obs.set_registry(registry)
+        try:
+            with obs.use_telemetry():
+                enabled.append(_timed(trainer.fit))
+        finally:
+            obs.set_registry(previous)
 
-    off = min(disabled["wall_time_s"], disabled_again["wall_time_s"])
-    on = enabled["wall_time_s"]
+    off, on = min(disabled), min(enabled)
     emit(f"Telemetry overhead ({STEPS} Trainer steps)",
          f"disabled {off * 1e3:.3f} ms   enabled {on * 1e3:.3f} ms   "
          f"overhead {(on / off - 1) * 100:+.2f}%")

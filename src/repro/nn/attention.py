@@ -17,6 +17,7 @@ from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.tensor import fused
 from repro.tensor.tensor import Tensor, is_inference_mode
+
 _CAUSAL_MASK_CACHE: dict[int, np.ndarray] = {}
 
 

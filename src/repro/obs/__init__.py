@@ -16,10 +16,10 @@ One subsystem for everything the training/eval stack reports about itself
 Instrumented call sites: ``Trainer`` (per-step loss / grad norm / LR /
 throughput / tensor allocations, checkpoint and divergence-recovery
 events), ``RankingEvaluator.evaluate`` (per-batch scoring latency,
-candidates/s), every ``repro.experiments`` runner (one telemetry file per artefact), and
-the ``repro.parallel`` subsystem (per-step all-reduce and per-worker
-compute time, worker-count gauge, prefetch queue depth and hit/miss
-counters, parallel-sweep scheduling events).  Forked worker/pool children
+candidates/s), every ``repro.experiments`` runner (one telemetry file per
+artefact), and the ``repro.parallel`` subsystem (per-step all-reduce and
+per-worker compute time, worker-count gauge, prefetch queue depth and
+hit/miss counters, parallel-sweep scheduling events).  Forked worker/pool children
 always run with telemetry *off* and a private registry — their stats
 travel back to the parent, which is the only process that writes streams.
 """

@@ -7,8 +7,8 @@ process-global :class:`MetricsRegistry`, and sinks (``repro.obs.sink``)
 stream the event half to disk as JSONL.
 
 Telemetry is **off by default** and guarded by one module-level boolean:
-every instrumentation site checks :func:`telemetry_enabled` first, so the disabled cost is a global
-read and a branch.  Enable it for a scope with::
+every instrumentation site checks :func:`telemetry_enabled` first, so the
+disabled cost is a global read and a branch.  Enable it for a scope with::
 
     from repro import obs
 
@@ -328,4 +328,3 @@ def timer(name: str) -> _TimerContext:
     if not _TELEMETRY_ENABLED:
         return _NULL_TIMER
     return _REGISTRY.timer(name)
-

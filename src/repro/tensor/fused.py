@@ -164,10 +164,10 @@ def info_nce(anchors: Tensor, positives: Tensor,
     positive class — in-batch negatives in both directions.
 
     The composed reference builds the same value from ~20 tape primitives;
-    here forward is one
-    normalised matmul plus two logsumexps and backward is a single
-    hand-derived VJP: with ``G = grad/(2N) · (P_row + P_col) - grad/N · I``
-    scaled by ``1/temperature``, ``dA_hat = G @ P_hat`` and
+    here forward is one normalised matmul plus two logsumexps and backward
+    is a single hand-derived VJP: with
+    ``G = grad/(2N) · (P_row + P_col) - grad/N · I`` scaled by
+    ``1/temperature``, ``dA_hat = G @ P_hat`` and
     ``dP_hat = Gᵀ @ A_hat``, each pulled back through the normalisation via
     ``dX = inv_norm · (dX_hat - <dX_hat, X_hat> X_hat)``.
     """

@@ -115,19 +115,16 @@ def _constant_tensors(module: Module, prefix: str = ""):
 
 
 class TestFloat64Model:
-    """A model built under ``use_dtype(float64)`` holds no float32 state, so
-    no part of Eq. (1)-(13) is rounded to float32 on the way."""
+    """A model built under ``use_dtype(float64)`` holds no float32 tensor,
+    so no part of Eq. (1)-(13) is rounded to float32 on the way (the
+    learned graph is covered in ``tests/nn/test_graph_numerics.py``)."""
 
-    @pytest.mark.parametrize("graph_mode", ["fixed", "learned"])
-    def test_parameters_and_constants_are_float64(self, tiny_dataset,
-                                                  graph_mode):
+    def test_parameters_and_constants_are_float64(self, tiny_dataset):
         with use_dtype(np.float64):
-            model = ISRec.from_dataset(
-                tiny_dataset, max_len=8,
-                config=ISRecConfig(dim=16, graph_mode=graph_mode))
+            model = ISRec.from_dataset(tiny_dataset, max_len=8,
+                                       config=ISRecConfig(dim=16))
         constants = dict(_constant_tensors(model))
-        if graph_mode == "fixed":
-            assert "transition.gcn.layers.0.adjacency" in constants
+        assert "transition.gcn.layers.0.adjacency" in constants
         for name, tensor in constants.items():
             assert tensor.data.dtype == np.float64, name
         for name, parameter in model.named_parameters():

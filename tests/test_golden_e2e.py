@@ -12,9 +12,8 @@ The trained model is then frozen through the serving exporter and the
 evaluation repeated via :class:`repro.serve.RecommendationEngine`, which
 must reproduce the golden metrics bit for bit.
 
-A third recipe draws no randomness after initialisation (no dropout, no
-Gumbel noise), so a kernel rewrite that changes the shape of a random draw
-cannot move it.  It is pinned in float64 and float32, and the composed
+A third recipe draws no dropout or Gumbel noise, so a kernel rewrite that
+changes the shape of a noise draw cannot move it.  It is pinned in float64 and float32, and the composed
 reference kernels must reproduce it too.
 """
 
