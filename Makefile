@@ -1,6 +1,6 @@
 # Canonical workflows for the ISRec reproduction.
 
-.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents table-graphs figures lint
+.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent bench bench-smoke bench-full bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents figures lint
 
 install:
 	pip install -e . || \
@@ -27,9 +27,6 @@ test-online:      ## online loop: event log, learner, shadow gate, observe parit
 test-intent:      ## intent head and objectives: decoder kernel vs oracle, top-lambda ties and node, selected-row training, GEMV reductions, contrastive kernel, sessions, checkpoints, sweep, goldens
 	pytest tests/tensor/test_intent_kernels.py tests/core/test_top_lambda.py tests/models/test_selected_rows.py tests/tensor/test_unbroadcast.py tests/tensor/test_fused_contrastive.py tests/data/test_sessions.py tests/eval/test_session_eval.py tests/train/test_contrastive_checkpoint.py tests/experiments/test_intent_objectives.py tests/test_golden_e2e.py
 
-test-graphs:      ## graph workloads: simulator graphs, KTUP/FM baselines, comparison sweep
-	pytest tests/data/test_graphs.py tests/models/test_graph_baselines.py tests/experiments/test_graph_comparison.py
-
 bench:            ## standard preset (~30-40 min on one core)
 	pytest benchmarks/ --benchmark-only -s
 
@@ -48,8 +45,8 @@ bench-backends:   ## float32-vs-float64 and int8-serving benchmark, writes BENCH
 bench-serve-cluster: ## cluster load + kill-recovery benchmark, writes BENCH_serve_cluster.json (<2 min)
 	PYTHONPATH=src python -m repro.serve.loadgen --out BENCH_serve_cluster.json
 
-bench-parallel:   ## data-parallel training benchmark, writes BENCH_parallel.json (a few min)
-	PYTHONPATH=src python -m repro.parallel.bench --out BENCH_parallel.json
+bench-parallel:   ## data-parallel training benchmark, one BLAS thread per process, writes BENCH_parallel.json (a few min)
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src python -m repro.parallel.bench --out BENCH_parallel.json
 
 bench-online:     ## online-loop drift/fine-tune/rollout benchmark, writes BENCH_online.json (<2 min)
 	PYTHONPATH=src python -m repro.online.bench --out BENCH_online.json
@@ -63,9 +60,6 @@ table2:
 
 table-intents:
 	python -m repro.experiments intents
-
-table-graphs:
-	python -m repro.experiments graphs
 
 figures:
 	python -m repro.experiments figure2

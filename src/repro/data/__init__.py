@@ -22,12 +22,6 @@ from repro.data.concepts import (
     tokenize,
 )
 from repro.data.dataset import ConceptStatistics, DatasetStatistics, InteractionDataset
-from repro.data.graphs import (
-    GraphStatistics,
-    ItemKnowledgeGraph,
-    SocialGraph,
-    graph_statistics,
-)
 from repro.data.io import load_dataset_file, save_dataset
 from repro.data.preprocessing import (
     LeaveOneOutSplit,
@@ -40,7 +34,6 @@ from repro.data.registry import (
     PROFILES,
     available_profiles,
     default_max_len,
-    graph_profiles,
     load_dataset,
 )
 from repro.data.synthetic import (
@@ -54,13 +47,12 @@ __all__ = [
     "ConceptSpace", "build_concept_space", "extract_concepts",
     "restrict_concept_space", "tokenize",
     "InteractionDataset", "DatasetStatistics", "ConceptStatistics",
-    "ItemKnowledgeGraph", "SocialGraph", "GraphStatistics", "graph_statistics",
     "LeaveOneOutSplit", "five_core", "sample_negatives", "split_leave_one_out",
     "pad_left", "next_item_batches", "pairwise_batches", "markov_batches",
     "evaluation_inputs", "session_starts",
     "SimulatorConfig", "IntentDrivenSimulator", "GroundTruth", "generate_dataset",
     "PROFILES", "DEFAULT_MAX_LEN", "available_profiles", "default_max_len",
-    "graph_profiles", "load_dataset",
+    "load_dataset",
     "save_dataset",
     "load_dataset_file",
 ]

@@ -7,12 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.concepts import ConceptSpace
-from repro.data.graphs import (
-    GraphStatistics,
-    ItemKnowledgeGraph,
-    SocialGraph,
-    graph_statistics,
-)
 
 
 @dataclass
@@ -68,10 +62,6 @@ class InteractionDataset:
       ``session_ids[u][t]`` is the session of user ``u``'s ``t``-th
       interaction.  Per user the ids start at 0 and are non-decreasing with
       unit steps, so sessions partition the stream into contiguous runs.
-    - ``knowledge_graph`` / ``social_graph`` (optional) carry structural
-      side information over the *filtered* id spaces: KG item entities are
-      the dataset's 1-indexed item ids, social endpoints its 0-indexed
-      users (``docs/graph-workloads.md``).
     """
 
     name: str
@@ -81,8 +71,6 @@ class InteractionDataset:
     concept_space: ConceptSpace
     item_titles: list[str] = field(default_factory=list, repr=False)
     session_ids: list[np.ndarray] | None = field(default=None, repr=False)
-    knowledge_graph: ItemKnowledgeGraph | None = field(default=None, repr=False)
-    social_graph: SocialGraph | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.item_concepts.shape[0] != self.num_items + 1:
@@ -113,16 +101,6 @@ class InteractionDataset:
                     raise ValueError(
                         f"user {u}: session ids must start at 0 and increase "
                         f"in unit steps (contiguous sessions)")
-        if (self.knowledge_graph is not None
-                and self.knowledge_graph.num_items != self.num_items):
-            raise ValueError(
-                f"knowledge_graph covers {self.knowledge_graph.num_items} "
-                f"items, dataset has {self.num_items}")
-        if (self.social_graph is not None
-                and self.social_graph.num_users != self.num_users):
-            raise ValueError(
-                f"social_graph covers {self.social_graph.num_users} users, "
-                f"dataset has {self.num_users}")
 
     @property
     def num_users(self) -> int:
@@ -151,20 +129,6 @@ class InteractionDataset:
             return 0
         return int(sum(int(sessions[-1]) + 1 for sessions in self.session_ids
                        if len(sessions)))
-
-    @property
-    def has_knowledge_graph(self) -> bool:
-        """Whether the dataset carries an item knowledge graph."""
-        return self.knowledge_graph is not None
-
-    @property
-    def has_social_graph(self) -> bool:
-        """Whether the dataset carries a user social graph."""
-        return self.social_graph is not None
-
-    def graph_statistics(self) -> GraphStatistics:
-        """Summary of the structural side information (zeros when absent)."""
-        return graph_statistics(self.knowledge_graph, self.social_graph)
 
     def avg_session_length(self) -> float:
         """Mean interactions per session (0.0 without annotations)."""

@@ -15,10 +15,7 @@ Runner             Paper artefact
 
 Beyond the paper's artefacts, :func:`run_intent_objectives` sweeps the
 training-objective variants of ``docs/training-objectives.md`` (baseline
-vs intent-contrastive vs session-aware evaluation), and
-:func:`run_graph_comparison` trains ISRec against the structure-aware
-baselines (KTUP, FM) on the graph-bearing profile variants
-(``docs/graph-workloads.md``).
+vs intent-contrastive vs session-aware evaluation).
 """
 
 from repro.experiments.common import (
@@ -36,10 +33,6 @@ from repro.experiments.common import (
 )
 from repro.experiments import report
 from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.graphs import (
-    GraphComparisonResult,
-    run_graph_comparison,
-)
 from repro.experiments.objectives import (
     IntentObjectivesResult,
     run_intent_objectives,
@@ -67,5 +60,4 @@ __all__ = [
     "report",
     "run_figure3", "run_figure4", "SweepResult",
     "run_intent_objectives", "IntentObjectivesResult",
-    "run_graph_comparison", "GraphComparisonResult",
 ]

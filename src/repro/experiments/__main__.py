@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments table5 --epochs 60
     python -m repro.experiments figure2 --profiles beauty
     python -m repro.experiments intents --profiles beauty epinions --jobs 3
-    python -m repro.experiments graphs --jobs 4
     python -m repro.experiments all
 """
 
@@ -22,7 +21,6 @@ from repro.experiments import (
     run_figure2,
     run_figure3,
     run_figure4,
-    run_graph_comparison,
     run_intent_objectives,
     run_table2,
     run_table3,
@@ -32,7 +30,7 @@ from repro.experiments import (
 )
 
 ARTEFACTS = ("table2", "table3", "table4", "table5", "table6",
-             "figure2", "figure3", "figure4", "intents", "graphs")
+             "figure2", "figure3", "figure4", "intents")
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -105,10 +103,6 @@ def main(argv: list[str] | None = None) -> None:
             print(run_intent_objectives(profiles=args.profiles, config=config,
                                         scale=args.scale, progress=True,
                                         jobs=args.jobs).render())
-        elif artefact == "graphs":
-            print(run_graph_comparison(profiles=args.profiles, config=config,
-                                       scale=args.scale, progress=True,
-                                       jobs=args.jobs).render())
 
 
 if __name__ == "__main__":

@@ -2,11 +2,10 @@
 
 Each digest is a SHA-256 over a profile's sequences, its ``item_concepts``,
 its concept adjacency and (when present) its session ids, serialised with
-explicit little-endian dtypes.  They were computed before the simulator
-lost its graph samplers, whose removal must leave every interaction,
-concept annotation and concept edge bit-identical.  A change to the
-generative process that is meant to move the data updates these pins in
-the same commit, and says so.
+explicit little-endian dtypes.  Every golden run and benchmark figure
+is downstream of these arrays, so a change that is not meant to move the
+data must leave them bit-identical; one that is meant to move it updates
+the pins in the same commit, and says so.
 """
 
 import hashlib

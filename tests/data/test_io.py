@@ -1,5 +1,7 @@
 """Dataset persistence round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,35 @@ class TestDatasetIO:
         assert loaded.statistics() == tiny_dataset.statistics()
         assert loaded.concept_statistics() == tiny_dataset.concept_statistics()
 
-    def test_version_check(self, tiny_dataset, tmp_path):
-        import json
+    def test_archive_with_graph_keys_still_loads(self, tiny_dataset, tmp_path):
+        """Archives of the same format version once also carried an item
+        knowledge graph and a social graph; the loader ignores them."""
+        path = save_dataset(tiny_dataset, tmp_path / "tiny.npz")
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["knowledge_graph"] = {
+            "num_entities": tiny_dataset.num_items + tiny_dataset.num_concepts,
+            "num_relations": 2,
+            "relation_names": ["has_attribute_0", "linked_concept"],
+            "entity_names": list(tiny_dataset.concept_space.names),
+        }
+        meta["social_graph"] = {"num_users": tiny_dataset.num_users}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+        arrays["kg_triples"] = np.array([[1, 0, tiny_dataset.num_items + 1],
+                                         [2, 1, 3]], dtype=np.int64)
+        arrays["social_edges"] = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        np.savez(path, **arrays)
 
+        loaded = load_dataset_file(path)
+        assert loaded.num_users == tiny_dataset.num_users
+        for a, b in zip(loaded.sequences, tiny_dataset.sequences, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.item_concepts,
+                                      tiny_dataset.item_concepts)
+
+    def test_version_check(self, tiny_dataset, tmp_path):
         path = save_dataset(tiny_dataset, tmp_path / "tiny.npz")
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}

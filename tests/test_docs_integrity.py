@@ -64,7 +64,6 @@ class TestFilesPresent:
         "docs/performance.md", "docs/observability.md", "docs/serving.md",
         "docs/parallelism.md", "docs/resilience.md",
         "docs/online-learning.md", "docs/training-objectives.md",
-        "docs/graph-workloads.md",
         "examples/README.md", "Makefile", "pyproject.toml",
         ".github/workflows/ci.yml",
     ])
@@ -80,8 +79,7 @@ class TestFilesPresent:
     def test_benchmarks_cover_every_artifact(self):
         benches = {p.name for p in (ROOT / "benchmarks").glob("test_*.py")}
         for artefact in ("table2", "table3", "table4", "table5", "table6",
-                         "figure2", "figure3", "figure4", "intents",
-                         "graphs"):
+                         "figure2", "figure3", "figure4", "intents"):
             assert any(artefact in name for name in benches), artefact
 
 
