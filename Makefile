@@ -1,6 +1,6 @@
 # Canonical workflows for the ISRec reproduction.
 
-.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent bench bench-smoke bench-full bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents figures lint
+.PHONY: install test test-faults test-chaos test-serve test-parallel test-online test-intent test-graphs bench bench-smoke bench-full bench-serve bench-serve-cluster bench-parallel bench-backends bench-online telemetry-report table2 table-intents figures lint
 
 install:
 	pip install -e . || \
@@ -26,6 +26,9 @@ test-online:      ## online loop: event log, learner, shadow gate, observe parit
 
 test-intent:      ## intent head and objectives: decoder kernel vs oracle, top-lambda ties and node, selected-row training, GEMV reductions, contrastive kernel, sessions, checkpoints, sweep, goldens
 	pytest tests/tensor/test_intent_kernels.py tests/core/test_top_lambda.py tests/models/test_selected_rows.py tests/tensor/test_unbroadcast.py tests/tensor/test_fused_contrastive.py tests/data/test_sessions.py tests/eval/test_session_eval.py tests/train/test_contrastive_checkpoint.py tests/experiments/test_intent_objectives.py tests/test_golden_e2e.py
+
+test-graphs:      ## graph workloads: simulator knowledge graph, KTUP/FM baselines
+	pytest tests/data/test_graphs.py tests/models/test_graph_baselines.py
 
 bench:            ## standard preset (~30-40 min on one core)
 	pytest benchmarks/ --benchmark-only -s

@@ -1,11 +1,10 @@
-"""Benchmark: graph emission cost + the graph-workloads comparison sweep.
+"""Benchmark: knowledge-graph emission cost.
 
-Shape being reproduced (``docs/graph-workloads.md``): layering a knowledge
-graph and a social graph on the simulator must be a cheap add-on — the
-samplers draw from dedicated RNG streams and never touch the interaction
-loop — and the ISRec-vs-structure-aware-baseline sweep must run end to
-end.  The generation-cost measurements land in the committed
-``BENCH_graphs.json`` at the repo root.
+Shape being reproduced (``docs/graph-workloads.md``): layering an item
+knowledge graph on the simulator must be a cheap add-on — the sampler draws
+from a dedicated RNG stream and never touches the interaction loop.  The
+generation-cost measurements land in the committed ``BENCH_graphs.json``
+at the repo root.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import pytest
 
 from benchmarks.conftest import emit, preset_name
 from repro.data import load_dataset
-from repro.experiments import run_graph_comparison
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-SCHEMA = "bench_graphs/v1"
+SCHEMA = "bench_graphs/v2"
 
 #: (plain base profile, graph-bearing variant) timed against each other.
 PAIR = ("beauty", "beauty-kg-dense")
@@ -69,8 +67,6 @@ def test_graph_generation_cost(benchmark, bench_scale):
             "num_relations": stats.num_relations,
             "num_triples": stats.num_triples,
             "triples_per_item": stats.triples_per_item,
-            "num_social_edges": stats.num_social_edges,
-            "avg_social_degree": stats.avg_social_degree,
         },
         "environment": {
             "python": sys.version.split()[0],
@@ -82,32 +78,9 @@ def test_graph_generation_cost(benchmark, bench_scale):
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     emit("Graph emission cost (BENCH_graphs.json)",
          f"{PAIR[0]}: {plain_s:.3f}s   {PAIR[1]}: {graphed_s:.3f}s   "
-         f"overhead {overhead:.2f}x   ({stats.num_triples} triples, "
-         f"{stats.num_social_edges} social edges)")
+         f"overhead {overhead:.2f}x   ({stats.num_triples} triples)")
 
-    assert stats.num_triples > 0 and stats.num_social_edges > 0
+    assert stats.num_triples > 0
     # Emission + 5-core remapping must stay a modest add-on to generation.
     assert overhead < 2.0
 
-
-@pytest.mark.benchmark(group="graphs")
-def test_graph_comparison_sweep(benchmark, bench_config, bench_scale,
-                                shape_checks):
-    profiles = ["beauty-kg", "beauty-kg-dense"]
-    outcome = benchmark.pedantic(
-        lambda: run_graph_comparison(profiles=profiles, config=bench_config,
-                                     scale=bench_scale, progress=True),
-        rounds=1, iterations=1)
-    emit("Graph workloads — ISRec vs KTUP vs FM", outcome.render())
-
-    for profile in profiles:
-        assert set(outcome.results[profile]) == {"FM", "KTUP", "ISRec"}
-        assert outcome.graph_stats[profile]["num_triples"] > 0
-    if not shape_checks:
-        return
-    # With real training budgets every model clears the trivial floor and
-    # ISRec stays competitive with the structure-aware baselines.
-    for profile in profiles:
-        for run in outcome.results[profile].values():
-            assert run.report["HR@10"] > 0.02
-        assert outcome.isrec_margin(profile) > -50.0

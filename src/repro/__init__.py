@@ -3,10 +3,13 @@
 Public API tour
 ---------------
 - :mod:`repro.data` — synthetic intent-driven datasets (profiles mirroring
-  the paper's Beauty/Steam/Epinions/ML-1m/ML-20m) with concept annotations.
+  the paper's Beauty/Steam/Epinions/ML-1m/ML-20m) with concept annotations,
+  plus graph-bearing variants carrying an item knowledge graph
+  (``beauty-kg``, ...).
 - :mod:`repro.core` — the ISRec model, its four modules, ablation variants,
   and the intent-trace explainability API.
-- :mod:`repro.models` — the ten baselines of Table 2.
+- :mod:`repro.models` — the ten baselines of Table 2, plus the
+  structure-aware baselines (KTUP, FM) for the graph workloads.
 - :mod:`repro.eval` — HR/NDCG/MRR and the leave-one-out ranking protocol.
 - :mod:`repro.train` — the shared training loop.
 - :mod:`repro.serve` — inference artifacts, the top-K engine, the sharded

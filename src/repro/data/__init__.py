@@ -22,6 +22,11 @@ from repro.data.concepts import (
     tokenize,
 )
 from repro.data.dataset import ConceptStatistics, DatasetStatistics, InteractionDataset
+from repro.data.graphs import (
+    GraphStatistics,
+    ItemKnowledgeGraph,
+    graph_statistics,
+)
 from repro.data.io import load_dataset_file, save_dataset
 from repro.data.preprocessing import (
     LeaveOneOutSplit,
@@ -34,6 +39,7 @@ from repro.data.registry import (
     PROFILES,
     available_profiles,
     default_max_len,
+    graph_profiles,
     load_dataset,
 )
 from repro.data.synthetic import (
@@ -47,12 +53,13 @@ __all__ = [
     "ConceptSpace", "build_concept_space", "extract_concepts",
     "restrict_concept_space", "tokenize",
     "InteractionDataset", "DatasetStatistics", "ConceptStatistics",
+    "ItemKnowledgeGraph", "GraphStatistics", "graph_statistics",
     "LeaveOneOutSplit", "five_core", "sample_negatives", "split_leave_one_out",
     "pad_left", "next_item_batches", "pairwise_batches", "markov_batches",
     "evaluation_inputs", "session_starts",
     "SimulatorConfig", "IntentDrivenSimulator", "GroundTruth", "generate_dataset",
     "PROFILES", "DEFAULT_MAX_LEN", "available_profiles", "default_max_len",
-    "load_dataset",
+    "graph_profiles", "load_dataset",
     "save_dataset",
     "load_dataset_file",
 ]

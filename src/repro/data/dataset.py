@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.concepts import ConceptSpace
+from repro.data.graphs import (
+    GraphStatistics,
+    ItemKnowledgeGraph,
+    graph_statistics,
+)
 
 
 @dataclass
@@ -62,6 +67,9 @@ class InteractionDataset:
       ``session_ids[u][t]`` is the session of user ``u``'s ``t``-th
       interaction.  Per user the ids start at 0 and are non-decreasing with
       unit steps, so sessions partition the stream into contiguous runs.
+    - ``knowledge_graph`` (optional) carries structural side information
+      over the *filtered* id space: KG item entities are the dataset's
+      1-indexed item ids (``docs/graph-workloads.md``).
     """
 
     name: str
@@ -71,6 +79,7 @@ class InteractionDataset:
     concept_space: ConceptSpace
     item_titles: list[str] = field(default_factory=list, repr=False)
     session_ids: list[np.ndarray] | None = field(default=None, repr=False)
+    knowledge_graph: ItemKnowledgeGraph | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.item_concepts.shape[0] != self.num_items + 1:
@@ -101,6 +110,11 @@ class InteractionDataset:
                     raise ValueError(
                         f"user {u}: session ids must start at 0 and increase "
                         f"in unit steps (contiguous sessions)")
+        if (self.knowledge_graph is not None
+                and self.knowledge_graph.num_items != self.num_items):
+            raise ValueError(
+                f"knowledge_graph covers {self.knowledge_graph.num_items} "
+                f"items, dataset has {self.num_items}")
 
     @property
     def num_users(self) -> int:
@@ -129,6 +143,15 @@ class InteractionDataset:
             return 0
         return int(sum(int(sessions[-1]) + 1 for sessions in self.session_ids
                        if len(sessions)))
+
+    @property
+    def has_knowledge_graph(self) -> bool:
+        """Whether the dataset carries an item knowledge graph."""
+        return self.knowledge_graph is not None
+
+    def graph_statistics(self) -> GraphStatistics:
+        """Summary of the structural side information (zeros when absent)."""
+        return graph_statistics(self.knowledge_graph)
 
     def avg_session_length(self) -> float:
         """Mean interactions per session (0.0 without annotations)."""

@@ -1,21 +1,16 @@
-"""Structural side information: item knowledge graph and user social graph.
+"""Structural side information: the item knowledge graph.
 
-These containers carry the two graph layers the simulator can emit on top
-of the interaction stream (``docs/graph-workloads.md``):
+:class:`ItemKnowledgeGraph` carries the graph layer the simulator can emit
+on top of the interaction stream (``docs/graph-workloads.md``):
+entity/relation triples layered on the concept graph.  Entities share one
+1-indexed id space: ids ``1..num_items`` are catalog items, ids
+``num_items+1..num_entities`` are attribute entities (the dataset's
+concepts).  Id 0 is reserved for padding, mirroring the item-id convention.
 
-- :class:`ItemKnowledgeGraph` — entity/relation triples layered on the
-  concept graph.  Entities share one 1-indexed id space: ids
-  ``1..num_items`` are catalog items, ids ``num_items+1..num_entities``
-  are attribute entities (the dataset's concepts).  Id 0 is reserved for
-  padding, mirroring the item-id convention.
-- :class:`SocialGraph` — an undirected user-user graph stored as
-  canonical ``u < v`` pairs; :meth:`SocialGraph.symmetric_edges` expands
-  both directions for consumers that want an adjacency stream.
-
-Both validate their invariants on construction, so a dataset that carries
-them (``InteractionDataset.knowledge_graph`` / ``social_graph``) can only
-reference live entities and users — the property the 5-core filtering in
-:mod:`repro.data.synthetic` must preserve and the graph test-suite pins.
+The container validates its invariants on construction, so a dataset that
+carries one (``InteractionDataset.knowledge_graph``) can only reference live
+entities — the property the 5-core filtering in :mod:`repro.data.synthetic`
+must preserve and the graph test-suite pins.
 """
 
 from __future__ import annotations
@@ -33,14 +28,6 @@ class GraphStatistics:
     num_relations: int
     num_triples: int
     triples_per_item: float
-    num_social_edges: int
-    avg_social_degree: float
-
-    def as_row(self) -> list:
-        """Cells for the graph-workloads summary table."""
-        return [self.num_entities, self.num_relations, self.num_triples,
-                round(self.triples_per_item, 2), self.num_social_edges,
-                round(self.avg_social_degree, 2)]
 
 
 @dataclass
@@ -120,85 +107,15 @@ class ItemKnowledgeGraph:
         return self.triples[mask]
 
 
-@dataclass
-class SocialGraph:
-    """Undirected user-user graph stored as canonical ``u < v`` pairs.
-
-    Users are 0-indexed, matching ``InteractionDataset.sequences``.
-    """
-
-    edges: np.ndarray
-    num_users: int
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64)
-        if self.edges.size == 0:
-            self.edges = self.edges.reshape(0, 2)
-        if self.edges.ndim != 2 or self.edges.shape[1] != 2:
-            raise ValueError(
-                f"edges must be (M, 2) user pairs, got shape {self.edges.shape}")
-        if len(self.edges):
-            if self.edges.min() < 0 or self.edges.max() >= self.num_users:
-                raise ValueError(
-                    f"edge endpoints must lie in [0, {self.num_users})")
-            if (self.edges[:, 0] >= self.edges[:, 1]).any():
-                raise ValueError(
-                    "edges must be canonical u < v pairs (no self-loops, "
-                    "no reversed duplicates)")
-            if len(np.unique(self.edges, axis=0)) != len(self.edges):
-                raise ValueError("edges contain duplicate pairs")
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return len(self.edges)
-
-    def symmetric_edges(self) -> np.ndarray:
-        """Both directions of every edge, ``(2M, 2)`` — the adjacency stream."""
-        if not len(self.edges):
-            return self.edges.copy()
-        return np.concatenate([self.edges, self.edges[:, ::-1]], axis=0)
-
-    def degree(self) -> np.ndarray:
-        """Per-user neighbour count."""
-        degree = np.zeros(self.num_users, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(degree, self.edges[:, 0], 1)
-            np.add.at(degree, self.edges[:, 1], 1)
-        return degree
-
-    def neighbors(self, user: int) -> np.ndarray:
-        """Sorted neighbour ids of ``user``."""
-        if not 0 <= user < self.num_users:
-            raise IndexError(f"user id {user} out of range [0, {self.num_users})")
-        mask_u = self.edges[:, 0] == user
-        mask_v = self.edges[:, 1] == user
-        return np.sort(np.concatenate([self.edges[mask_u, 1],
-                                       self.edges[mask_v, 0]]))
-
-
-def graph_statistics(knowledge_graph: ItemKnowledgeGraph | None,
-                     social_graph: SocialGraph | None) -> GraphStatistics:
-    """Summarise a dataset's (possibly absent) structural side information."""
-    if knowledge_graph is not None:
-        num_entities = knowledge_graph.num_entities
-        num_relations = knowledge_graph.num_relations
-        num_triples = knowledge_graph.num_triples
-        per_item = (num_triples / knowledge_graph.num_items
-                    if knowledge_graph.num_items else 0.0)
-    else:
-        num_entities = num_relations = num_triples = 0
-        per_item = 0.0
-    if social_graph is not None:
-        num_edges = social_graph.num_edges
-        avg_degree = (2.0 * num_edges / social_graph.num_users
-                      if social_graph.num_users else 0.0)
-    else:
-        num_edges = 0
-        avg_degree = 0.0
-    return GraphStatistics(num_entities=num_entities,
-                           num_relations=num_relations,
+def graph_statistics(knowledge_graph: ItemKnowledgeGraph | None) -> GraphStatistics:
+    """Summarise a dataset's (possibly absent) item knowledge graph."""
+    if knowledge_graph is None:
+        return GraphStatistics(num_entities=0, num_relations=0,
+                               num_triples=0, triples_per_item=0.0)
+    num_triples = knowledge_graph.num_triples
+    per_item = (num_triples / knowledge_graph.num_items
+                if knowledge_graph.num_items else 0.0)
+    return GraphStatistics(num_entities=knowledge_graph.num_entities,
+                           num_relations=knowledge_graph.num_relations,
                            num_triples=num_triples,
-                           triples_per_item=per_item,
-                           num_social_edges=num_edges,
-                           avg_social_degree=avg_degree)
+                           triples_per_item=per_item)

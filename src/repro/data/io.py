@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.data.concepts import ConceptSpace
 from repro.data.dataset import InteractionDataset
+from repro.data.graphs import ItemKnowledgeGraph
 
 _FORMAT_VERSION = 1
 
@@ -34,6 +35,14 @@ def save_dataset(dataset: InteractionDataset, path: str | Path) -> Path:
         "community_names": dataset.concept_space.community_names,
         "item_titles": dataset.item_titles,
     }
+    if dataset.knowledge_graph is not None:
+        kg = dataset.knowledge_graph
+        meta_payload["knowledge_graph"] = {
+            "num_entities": kg.num_entities,
+            "num_relations": kg.num_relations,
+            "relation_names": list(kg.relation_names),
+            "entity_names": list(kg.entity_names),
+        }
     meta = json.dumps(meta_payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = dict(
@@ -50,6 +59,9 @@ def save_dataset(dataset: InteractionDataset, path: str | Path) -> Path:
         arrays["session_ids_flat"] = (
             np.concatenate(dataset.session_ids)
             if dataset.session_ids else np.empty(0, dtype=np.int64))
+    # Same optional-key pattern for the structural side information.
+    if dataset.knowledge_graph is not None:
+        arrays["kg_triples"] = dataset.knowledge_graph.triples
     np.savez(path, **arrays)
     return path
 
@@ -70,6 +82,8 @@ def load_dataset_file(path: str | Path) -> InteractionDataset:
         community_of = archive["community_of"]
         sessions_flat = (archive["session_ids_flat"]
                          if "session_ids_flat" in archive else None)
+        kg_triples = (archive["kg_triples"].copy()
+                      if "kg_triples" in archive else None)
 
     sequences: list[np.ndarray] = []
     session_ids: list[np.ndarray] | None = (
@@ -93,6 +107,17 @@ def load_dataset_file(path: str | Path) -> InteractionDataset:
         adjacency=adjacency.astype(np.float32),
         graph=graph,
     )
+    knowledge_graph = None
+    if kg_triples is not None:
+        kg_meta = meta.get("knowledge_graph", {})
+        knowledge_graph = ItemKnowledgeGraph(
+            triples=kg_triples,
+            num_items=int(meta["num_items"]),
+            num_entities=int(kg_meta["num_entities"]),
+            num_relations=int(kg_meta["num_relations"]),
+            relation_names=list(kg_meta.get("relation_names", [])),
+            entity_names=list(kg_meta.get("entity_names", [])),
+        )
     return InteractionDataset(
         name=meta["name"],
         sequences=sequences,
@@ -101,4 +126,5 @@ def load_dataset_file(path: str | Path) -> InteractionDataset:
         concept_space=space,
         item_titles=list(meta["item_titles"]),
         session_ids=session_ids,
+        knowledge_graph=knowledge_graph,
     )

@@ -87,10 +87,46 @@ _SESSION_KNOBS = dict(
     session_boundary_prob=0.9,
 )
 
+# Graph knobs behind the ``<profile>-kg`` / ``<profile>-kg-dense`` preset
+# suffixes (docs/graph-workloads.md): the default variant emits a moderately
+# sparse knowledge graph, the dense variant triples the triple budget and
+# carries more noise.
+_GRAPH_KNOBS = dict(
+    kg_relations=6,
+    kg_triples_per_item=3.0,
+    kg_noise=0.05,
+)
+
+_DENSE_GRAPH_KNOBS = dict(
+    kg_relations=6,
+    kg_triples_per_item=9.0,
+    kg_noise=0.15,
+)
+
+_GRAPH_SUFFIXES: dict[str, dict] = {
+    "-kg": _GRAPH_KNOBS,
+    "-kg-dense": _DENSE_GRAPH_KNOBS,
+}
+
 
 def available_profiles() -> list[str]:
     """Names of the built-in dataset profiles."""
     return sorted(PROFILES)
+
+
+def graph_profiles() -> list[str]:
+    """Names of the graph-bearing profile variants (``<base>-kg[...]``)."""
+    return sorted(f"{name}{suffix}"
+                  for name in PROFILES for suffix in _GRAPH_SUFFIXES)
+
+
+def _resolve_profile(name: str) -> tuple[str, dict]:
+    """Split a profile name into its base profile and graph-knob overrides."""
+    for suffix in sorted(_GRAPH_SUFFIXES, key=len, reverse=True):
+        base = name[:-len(suffix)]
+        if name.endswith(suffix) and base in PROFILES:
+            return base, dict(_GRAPH_SUFFIXES[suffix])
+    return name, {}
 
 
 def load_dataset(name: str, scale: float = 1.0, seed: int | None = None,
@@ -100,7 +136,11 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None,
     Parameters
     ----------
     name:
-        One of :func:`available_profiles`.
+        One of :func:`available_profiles`, or a graph-bearing variant from
+        :func:`graph_profiles` (``beauty-kg``, ``ml-1m-kg-dense``, ...)
+        whose dataset carries a ``knowledge_graph``.  The interaction stream
+        of a graph variant is bit-identical to its base profile — the KG
+        sampler uses a dedicated RNG stream.
     scale:
         Multiplier on the number of users/items (e.g. ``0.5`` for faster
         tests, ``2.0`` for a bigger run).
@@ -114,13 +154,17 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None,
         *different* generated world than ``sessions=False`` (the intent
         process is coherence-modulated), not the same data annotated.
     """
-    if name not in PROFILES:
+    base, graph_knobs = _resolve_profile(name)
+    if base not in PROFILES:
         raise KeyError(
             f"unknown dataset profile {name!r}; choose from "
-            f"{available_profiles()}")
+            f"{available_profiles()} or a graph variant from "
+            f"{graph_profiles()}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    config = PROFILES[name]
+    config = PROFILES[base]
+    if graph_knobs:
+        config = replace(config, name=name, **graph_knobs)
     if sessions:
         config = replace(config, **_SESSION_KNOBS)
     if scale != 1.0:
@@ -146,5 +190,10 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None,
 
 
 def default_max_len(name: str) -> int:
-    """Recommended model max sequence length ``T`` for a profile."""
-    return DEFAULT_MAX_LEN.get(name, 20)
+    """Recommended model max sequence length ``T`` for a profile.
+
+    Graph-bearing variants (``beauty-kg``, ...) inherit their base
+    profile's length — the interaction stream is the same.
+    """
+    base, _ = _resolve_profile(name)
+    return DEFAULT_MAX_LEN.get(base, 20)

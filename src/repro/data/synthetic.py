@@ -27,6 +27,7 @@ import numpy as np
 from repro.data import preprocessing
 from repro.data.concepts import build_concept_space, extract_concepts, restrict_concept_space
 from repro.data.dataset import InteractionDataset
+from repro.data.graphs import ItemKnowledgeGraph
 from repro.data.vocabularies import FILLER_WORDS
 
 
@@ -72,6 +73,13 @@ class SimulatorConfig:
     session_min_length: int = 1
     session_coherence: float = 0.9
     session_boundary_prob: float = 0.9
+    # Item knowledge graph (docs/graph-workloads.md).  ``kg_relations=None``
+    # (the default) disables KG emission; the KG sampler draws from a
+    # dedicated RNG stream (seed + a fixed offset), so the interaction
+    # stream is bit-identical whether the graph is emitted or not.
+    kg_relations: int | None = None
+    kg_triples_per_item: float = 3.0
+    kg_noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -99,6 +107,12 @@ class SimulatorConfig:
             raise ValueError("session_coherence must be a probability")
         if not 0.0 <= self.session_boundary_prob <= 1.0:
             raise ValueError("session_boundary_prob must be a probability")
+        if self.kg_relations is not None and self.kg_relations < 1:
+            raise ValueError("kg_relations must be at least 1 when set")
+        if self.kg_triples_per_item <= 0:
+            raise ValueError("kg_triples_per_item must be positive")
+        if not 0.0 <= self.kg_noise <= 1.0:
+            raise ValueError("kg_noise must be a probability")
 
 
 @dataclass
@@ -121,10 +135,19 @@ class GroundTruth:
     #: Raw (pre-5-core) per-step session ids per user; empty when the
     #: simulator ran without session emission.
     user_sessions: list[np.ndarray] = field(default_factory=list)
+    #: Raw (pre-5-core) KG triples over the unfiltered entity space; empty
+    #: when the simulator ran without KG emission.
+    kg_triples_raw: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 3), dtype=np.int64))
 
 
 class IntentDrivenSimulator:
     """Generate an :class:`InteractionDataset` from a latent intent process."""
+
+    #: Seed offset decorrelating the KG sampler from the main interaction
+    #: stream: KG emission never advances ``self.rng``, so switching the
+    #: graph on or off leaves the interactions bit-identical.
+    KG_SEED_OFFSET = 0x6B670
 
     def __init__(self, config: SimulatorConfig):
         self.config = config
@@ -225,6 +248,90 @@ class IntentDrivenSimulator:
         return int(cfg.session_min_length + extra)
 
     # ------------------------------------------------------------------
+    # Structural side information (docs/graph-workloads.md)
+    # ------------------------------------------------------------------
+    def _relation_names(self) -> list[str]:
+        """Names of the ``kg_relations`` relation types.
+
+        The last slots carry the structural relations (concept-graph links,
+        same-community item links); the rest type item->attribute edges.
+        With very small ``kg_relations`` the types fold together.
+        """
+        count = int(self.config.kg_relations)
+        names = [f"has_attribute_{r}" for r in range(count)]
+        if count >= 2:
+            names[-1] = "linked_concept"
+        if count >= 3:
+            names[-2] = "related_item"
+        return names
+
+    def _knowledge_graph_raw(self, item_concepts_true: np.ndarray,
+                             item_community: np.ndarray) -> np.ndarray:
+        """Sample raw KG triples over the unfiltered item/concept space.
+
+        Three layers plus noise: (1) item ``has_attribute`` concept edges
+        typed by the concept's community, (2) every concept-graph edge as a
+        ``linked_concept`` triple (the "layered on the concept graph" part),
+        (3) sampled same-community ``related_item`` pairs; finally a
+        ``kg_noise`` fraction of uniformly random corrupted triples.  Uses a
+        dedicated RNG stream so the main interaction draws are untouched.
+        """
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed + self.KG_SEED_OFFSET)
+        count = int(cfg.kg_relations)
+        attr_slots = max(count - 2, 1)
+        rel_concept_link = count - 1 if count >= 2 else 0
+        rel_related_item = count - 2 if count >= 3 else 0
+        concept_entity = cfg.num_items + 1 + np.arange(self.space.num_concepts)
+        rel_of_concept = self.space.community_of.astype(np.int64) % attr_slots
+
+        budget = max(int(round(cfg.kg_triples_per_item * cfg.num_items)), 1)
+        attribute_budget = max(int(np.ceil(budget * 2 / 3)), 1)
+        related_budget = max(budget - attribute_budget, 0)
+        triples: list[tuple[int, int, int]] = []
+
+        # Layer 1 — item -> attribute-entity typing edges.
+        items = rng.integers(0, cfg.num_items, size=attribute_budget)
+        for item in items:
+            concepts = np.flatnonzero(item_concepts_true[item])
+            concept = int(rng.choice(concepts))
+            triples.append((int(item) + 1, int(rel_of_concept[concept]),
+                            int(concept_entity[concept])))
+
+        # Layer 2 — the concept graph itself, lifted to triples.
+        rows, cols = np.nonzero(np.triu(self.space.adjacency, k=1))
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            triples.append((int(concept_entity[a]), rel_concept_link,
+                            int(concept_entity[b])))
+
+        # Layer 3 — same-community related items.
+        members = {c: np.flatnonzero(item_community == c)
+                   for c in np.unique(item_community)}
+        for _ in range(related_budget):
+            item = int(rng.integers(0, cfg.num_items))
+            pool = members[int(item_community[item])]
+            if len(pool) < 2:
+                continue
+            other = int(rng.choice(pool))
+            if other == item:
+                continue
+            triples.append((item + 1, rel_related_item, other + 1))
+
+        # Noise — uniformly random triples corrupting the structure.
+        num_entities = cfg.num_items + self.space.num_concepts
+        noise = int(round(cfg.kg_noise * len(triples)))
+        if noise:
+            heads = rng.integers(1, num_entities + 1, size=noise)
+            relations = rng.integers(0, count, size=noise)
+            tails = rng.integers(1, num_entities + 1, size=noise)
+            keep = heads != tails
+            triples.extend(zip(heads[keep].tolist(), relations[keep].tolist(),
+                               tails[keep].tolist()))
+
+        raw = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        return np.unique(raw, axis=0)
+
+    # ------------------------------------------------------------------
     # Main entry
     # ------------------------------------------------------------------
     def generate(self) -> InteractionDataset:
@@ -286,6 +393,13 @@ class IntentDrivenSimulator:
             user_intents.append(trace)
             user_sessions.append(np.asarray(session_trace, dtype=np.int64))
 
+        # The KG is sampled from a dedicated RNG stream (never self.rng), so
+        # everything below this point is bit-identical whether the graph
+        # knobs are set or None.
+        kg_enabled = cfg.kg_relations is not None
+        kg_triples_raw = (self._knowledge_graph_raw(item_concepts_true, item_community)
+                          if kg_enabled else np.empty((0, 3), dtype=np.int64))
+
         descriptions = self._item_descriptions(item_concepts_true)
         extracted, kept = extract_concepts(descriptions, self.space)
         space, new_index = restrict_concept_space(self.space, kept)
@@ -305,6 +419,7 @@ class IntentDrivenSimulator:
             kept_users=kept_users,
             concept_index_map=new_index,
             user_sessions=user_sessions if sessions_enabled else [],
+            kg_triples_raw=kg_triples_raw,
         )
 
         # 5-core drops items (and users) but preserves the order of what
@@ -329,6 +444,34 @@ class IntentDrivenSimulator:
             remapped_concepts[new_id] = extracted[original - 1]
             remapped_titles[new_id - 1] = descriptions[original - 1].split(" . ")[0]
 
+        # 5-core alignment of the KG: item entities remap through item_map,
+        # attribute entities through the restricted concept index; triples
+        # touching anything dropped are removed, so the emitted graph
+        # references only live entities.
+        knowledge_graph: ItemKnowledgeGraph | None = None
+        if kg_enabled:
+            raw_entities = cfg.num_items + self.space.num_concepts
+            entity_map = np.zeros(raw_entities + 1, dtype=np.int64)
+            entity_map[1:cfg.num_items + 1] = item_map[1:]
+            for raw_concept in range(self.space.num_concepts):
+                if new_index[raw_concept] >= 0:
+                    entity_map[cfg.num_items + 1 + raw_concept] = (
+                        num_items + 1 + int(new_index[raw_concept]))
+            heads = entity_map[kg_triples_raw[:, 0]]
+            tails = entity_map[kg_triples_raw[:, 2]]
+            alive_triples = (heads > 0) & (tails > 0)
+            filtered = np.stack([heads[alive_triples],
+                                 kg_triples_raw[alive_triples, 1],
+                                 tails[alive_triples]], axis=1)
+            knowledge_graph = ItemKnowledgeGraph(
+                triples=np.unique(filtered, axis=0) if len(filtered) else filtered,
+                num_items=num_items,
+                num_entities=num_items + space.num_concepts,
+                num_relations=int(cfg.kg_relations),
+                relation_names=self._relation_names(),
+                entity_names=list(space.names),
+            )
+
         return InteractionDataset(
             name=cfg.name,
             sequences=sequences,
@@ -337,6 +480,7 @@ class IntentDrivenSimulator:
             concept_space=space,
             item_titles=remapped_titles,
             session_ids=session_ids,
+            knowledge_graph=knowledge_graph,
         )
 
 

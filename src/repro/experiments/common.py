@@ -43,9 +43,11 @@ from repro.models import (
     BPRMF,
     Caser,
     DGCF,
+    FM,
     FPMC,
     GRU4Rec,
     GRU4RecPlus,
+    KTUP,
     NCF,
     PopRec,
     SASRec,
@@ -244,6 +246,10 @@ def build_model(name: str, dataset: InteractionDataset, max_len: int,
         return Caser(num_users, num_items, dim=dim, max_len=max_len)
     if name == "SASRec":
         return SASRec(num_items, dim=dim, max_len=max_len)
+    if name == "KTUP":
+        return KTUP.from_dataset(dataset, dim=dim, max_len=max_len)
+    if name == "FM":
+        return FM.from_dataset(dataset, dim=dim, max_len=max_len)
     if name == "SASRec + concept":
         return SASRecConcept(num_items, dataset.item_concepts, dim=dim, max_len=max_len)
     if name == "BERT4Rec":

@@ -69,10 +69,12 @@ def servable_models() -> tuple[str, ...]:
 def _register_builtins() -> None:
     """Register the project's stock models (idempotent)."""
     from repro.core.isrec import ISRec
+    from repro.models.fm import FM
     from repro.models.gru4rec import GRU4Rec, GRU4RecPlus
+    from repro.models.ktup import KTUP
     from repro.models.sasrec import SASRec, SASRecConcept
 
-    for cls in (ISRec, SASRec, SASRecConcept, GRU4Rec, GRU4RecPlus):
+    for cls in (ISRec, SASRec, SASRecConcept, GRU4Rec, GRU4RecPlus, KTUP, FM):
         register_model(cls)
 
 

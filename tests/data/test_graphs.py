@@ -1,4 +1,4 @@
-"""Graph emission: simulator invariants, dataset plumbing, persistence."""
+"""KG emission: simulator invariants, dataset plumbing, persistence."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.data import (
 )
 from repro.data.concepts import build_concept_space
 from repro.data.dataset import InteractionDataset
-from repro.data.graphs import ItemKnowledgeGraph, SocialGraph
+from repro.data.graphs import ItemKnowledgeGraph
 from repro.data.registry import default_max_len
 from repro.data.synthetic import (
     IntentDrivenSimulator,
@@ -27,7 +27,6 @@ def graph_config(**overrides):
         true_lambda=2, intent_match_weight=8.0, popularity_weight=0.3,
         noise_scale=0.5, transition_prob=0.3, seed=11,
         kg_relations=5, kg_triples_per_item=3.0, kg_noise=0.05,
-        social_degree=4.0, social_homophily=0.8,
     )
     defaults.update(overrides)
     return SimulatorConfig(**defaults)
@@ -46,14 +45,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             graph_config(kg_noise=1.5)
 
-    def test_social_degree_positive(self):
-        with pytest.raises(ValueError):
-            graph_config(social_degree=-1.0)
-
-    def test_social_homophily_probability_range(self):
-        with pytest.raises(ValueError):
-            graph_config(social_homophily=-0.1)
-
 
 class TestSimulatorInvariants:
     @pytest.fixture(scope="class")
@@ -65,9 +56,7 @@ class TestSimulatorInvariants:
     def test_dataset_carries_graphs(self, simulator):
         dataset = simulator.dataset
         assert dataset.has_knowledge_graph
-        assert dataset.has_social_graph
         assert dataset.knowledge_graph.num_triples > 0
-        assert dataset.social_graph.num_edges > 0
 
     def test_entity_space_layout(self, simulator):
         kg = simulator.dataset.knowledge_graph
@@ -116,62 +105,23 @@ class TestSimulatorInvariants:
         items = degree[1:simulator.dataset.num_items + 1]
         assert (items > 0).mean() > 0.8
 
-    def test_social_edges_are_canonical_and_symmetric(self, simulator):
-        social = simulator.dataset.social_graph
-        assert social.num_users == simulator.dataset.num_users
-        assert (social.edges[:, 0] < social.edges[:, 1]).all()
-        sym = social.symmetric_edges()
-        assert len(sym) == 2 * social.num_edges
-        # Every (u, v) has its mirror (v, u) in the adjacency stream.
-        pairs = {tuple(edge) for edge in sym.tolist()}
-        assert all((v, u) in pairs for u, v in pairs)
-        assert social.degree().sum() == 2 * social.num_edges
-
-    def test_neighbors_match_edges(self, simulator):
-        social = simulator.dataset.social_graph
-        user = int(social.edges[0, 0])
-        neighbors = social.neighbors(user)
-        assert len(neighbors)
-        mask = (social.edges == user).any(axis=1)
-        assert len(neighbors) == int(mask.sum())
-
     def test_bit_reproducible_per_seed(self):
         first = generate_dataset(graph_config())
         second = generate_dataset(graph_config())
         np.testing.assert_array_equal(first.knowledge_graph.triples,
                                       second.knowledge_graph.triples)
-        np.testing.assert_array_equal(first.social_graph.edges,
-                                      second.social_graph.edges)
 
     def test_legacy_generation_bit_identical(self):
-        """Graph emission must not perturb the interaction stream: the
-        samplers draw from dedicated RNG streams, so a graph-bearing
-        world's sequences equal the legacy (graphs-off) world's exactly."""
-        legacy = generate_dataset(graph_config(kg_relations=None,
-                                               social_degree=None))
+        """KG emission must not perturb the interaction stream: the sampler
+        draws from a dedicated RNG stream, so a graph-bearing world's
+        sequences equal the legacy (graph-off) world's exactly."""
+        legacy = generate_dataset(graph_config(kg_relations=None))
         graphed = generate_dataset(graph_config())
         assert legacy.knowledge_graph is None
-        assert legacy.social_graph is None
         assert not legacy.has_knowledge_graph
-        assert not legacy.has_social_graph
         assert len(legacy.sequences) == len(graphed.sequences)
         for a, b in zip(legacy.sequences, graphed.sequences):
             np.testing.assert_array_equal(a, b)
-
-    def test_homophily_concentrates_edges_within_communities(self):
-        """High vs zero homophily must be statistically distinguishable
-        through the same-community edge fraction."""
-        def same_community_rate(homophily):
-            simulator = IntentDrivenSimulator(graph_config(
-                num_users=200, social_homophily=homophily))
-            simulator.generate()
-            truth = simulator.ground_truth
-            edges = truth.social_edges_raw
-            community = truth.user_community
-            assert len(edges) > 50
-            return (community[edges[:, 0]] == community[edges[:, 1]]).mean()
-
-        assert same_community_rate(1.0) > same_community_rate(0.0) + 0.2
 
 
 class TestGraphContainers:
@@ -212,22 +162,6 @@ class TestGraphContainers:
         with pytest.raises(IndexError):
             kg.triples_of_item(4)
 
-    def test_social_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="canonical"):
-            SocialGraph(edges=np.array([[2, 2]]), num_users=4)
-
-    def test_social_reversed_pair_rejected(self):
-        with pytest.raises(ValueError, match="canonical"):
-            SocialGraph(edges=np.array([[3, 1]]), num_users=4)
-
-    def test_social_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SocialGraph(edges=np.array([[0, 1], [0, 1]]), num_users=4)
-
-    def test_social_bounds_rejected(self):
-        with pytest.raises(ValueError, match="endpoints"):
-            SocialGraph(edges=np.array([[0, 7]]), num_users=4)
-
 
 class TestDatasetValidation:
     def _dataset(self, **extra):
@@ -243,29 +177,19 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="knowledge_graph"):
             self._dataset(knowledge_graph=kg)
 
-    def test_social_user_count_mismatch_rejected(self):
-        social = SocialGraph(edges=np.empty((0, 2), dtype=np.int64),
-                             num_users=9)
-        with pytest.raises(ValueError, match="social_graph"):
-            self._dataset(social_graph=social)
-
     def test_statistics_without_graphs(self):
         stats = self._dataset().graph_statistics()
         assert stats.num_triples == 0
-        assert stats.num_social_edges == 0
-        assert stats.avg_social_degree == 0.0
+        assert stats.num_entities == 0
+        assert stats.triples_per_item == 0.0
 
     def test_statistics_with_graphs(self):
         kg = ItemKnowledgeGraph(triples=np.array([[1, 0, 4], [2, 0, 5]]),
                                 num_items=3, num_entities=5, num_relations=1)
-        social = SocialGraph(edges=np.array([[0, 1]]), num_users=2)
         dataset = self._dataset(knowledge_graph=kg)
         stats = dataset.graph_statistics()
         assert stats.num_triples == 2
         assert stats.triples_per_item == pytest.approx(2 / 3)
-        # Social-only path through the module helper.
-        from repro.data.graphs import graph_statistics
-        assert graph_statistics(None, social).num_social_edges == 1
 
 
 class TestPersistenceAndRegistry:
@@ -274,24 +198,20 @@ class TestPersistenceAndRegistry:
         path = tmp_path / "graphs.npz"
         save_dataset(dataset, path)
         loaded = load_dataset_file(path)
-        assert loaded.has_knowledge_graph and loaded.has_social_graph
+        assert loaded.has_knowledge_graph
         np.testing.assert_array_equal(loaded.knowledge_graph.triples,
                                       dataset.knowledge_graph.triples)
-        np.testing.assert_array_equal(loaded.social_graph.edges,
-                                      dataset.social_graph.edges)
         kg, back = dataset.knowledge_graph, loaded.knowledge_graph
         assert back.num_entities == kg.num_entities
         assert back.num_relations == kg.num_relations
         assert back.relation_names == kg.relation_names
         assert back.entity_names == kg.entity_names
-        assert loaded.social_graph.num_users == dataset.social_graph.num_users
 
     def test_io_round_trip_without_graphs(self, tmp_path, tiny_dataset):
         path = tmp_path / "plain.npz"
         save_dataset(tiny_dataset, path)
         loaded = load_dataset_file(path)
         assert loaded.knowledge_graph is None
-        assert loaded.social_graph is None
 
     def test_graph_profiles_cover_every_base(self):
         names = graph_profiles()
@@ -303,7 +223,7 @@ class TestPersistenceAndRegistry:
         plain = load_dataset("beauty", scale=0.3)
         graphed = load_dataset("beauty-kg", scale=0.3)
         assert plain.knowledge_graph is None
-        assert graphed.has_knowledge_graph and graphed.has_social_graph
+        assert graphed.has_knowledge_graph
         # Separately cached worlds; graph emission leaves sequences alone.
         assert graphed is load_dataset("beauty-kg", scale=0.3)
         assert len(plain.sequences) == len(graphed.sequences)
@@ -315,7 +235,6 @@ class TestPersistenceAndRegistry:
         dense = load_dataset("beauty-kg-dense", scale=0.3)
         assert dense.knowledge_graph.num_triples > \
             base.knowledge_graph.num_triples
-        assert dense.social_graph.num_edges > base.social_graph.num_edges
 
     def test_unknown_suffix_rejected(self):
         with pytest.raises(KeyError, match="graph variant"):

@@ -21,6 +21,7 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.item_concepts,
                                       tiny_dataset.item_concepts)
+        assert loaded.knowledge_graph is None
         np.testing.assert_array_equal(loaded.concept_space.adjacency,
                                       tiny_dataset.concept_space.adjacency)
         assert loaded.concept_space.names == tiny_dataset.concept_space.names
@@ -38,24 +39,17 @@ class TestDatasetIO:
         assert loaded.statistics() == tiny_dataset.statistics()
         assert loaded.concept_statistics() == tiny_dataset.concept_statistics()
 
-    def test_archive_with_graph_keys_still_loads(self, tiny_dataset, tmp_path):
-        """Archives of the same format version once also carried an item
-        knowledge graph and a social graph; the loader ignores them."""
+    def test_archive_with_social_graph_keys_still_loads(self, tiny_dataset,
+                                                        tmp_path):
+        """Archives of the same format version once also carried a user
+        social graph; the loader ignores it."""
         path = save_dataset(tiny_dataset, tmp_path / "tiny.npz")
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["knowledge_graph"] = {
-            "num_entities": tiny_dataset.num_items + tiny_dataset.num_concepts,
-            "num_relations": 2,
-            "relation_names": ["has_attribute_0", "linked_concept"],
-            "entity_names": list(tiny_dataset.concept_space.names),
-        }
         meta["social_graph"] = {"num_users": tiny_dataset.num_users}
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                        dtype=np.uint8)
-        arrays["kg_triples"] = np.array([[1, 0, tiny_dataset.num_items + 1],
-                                         [2, 1, 3]], dtype=np.int64)
         arrays["social_edges"] = np.array([[0, 1], [1, 2]], dtype=np.int64)
         np.savez(path, **arrays)
 
@@ -65,6 +59,7 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.item_concepts,
                                       tiny_dataset.item_concepts)
+        assert loaded.knowledge_graph is None
 
     def test_version_check(self, tiny_dataset, tmp_path):
         path = save_dataset(tiny_dataset, tmp_path / "tiny.npz")

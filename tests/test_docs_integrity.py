@@ -64,6 +64,7 @@ class TestFilesPresent:
         "docs/performance.md", "docs/observability.md", "docs/serving.md",
         "docs/parallelism.md", "docs/resilience.md",
         "docs/online-learning.md", "docs/training-objectives.md",
+        "docs/graph-workloads.md",
         "examples/README.md", "Makefile", "pyproject.toml",
         ".github/workflows/ci.yml",
     ])
